@@ -38,6 +38,24 @@ let tables_bytes (g : garbling) : int =
   + (List.length g.const_labels * (4 + label_len))
   + ((Array.length g.output_decode + 7) / 8)
 
+(* The material itself, in wire order: T_G ‖ T_E per AND gate, be32 wire ‖
+   active label per Const gate, then the output decode bits packed
+   LSB-first. *)
+let material (g : garbling) : string =
+  let b = Buffer.create (tables_bytes g) in
+  Array.iter
+    (fun (tg, te) ->
+      Buffer.add_string b tg;
+      Buffer.add_string b te)
+    g.tables;
+  List.iter
+    (fun (o, l) ->
+      Buffer.add_string b (Bytesx.be32 o);
+      Buffer.add_string b l)
+    g.const_labels;
+  Buffer.add_string b (Bytesx.string_of_bits g.output_decode);
+  Buffer.contents b
+
 let garble (c : Circuit.t) ~(rand_bytes : int -> string) : garbling =
   let offset =
     let r = Bytes.of_string (rand_bytes label_len) in

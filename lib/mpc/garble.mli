@@ -23,6 +23,11 @@ val garble : Circuit.t -> rand_bytes:(int -> string) -> garbling
 val tables_bytes : garbling -> int
 (** Bytes shipped to the evaluator (tables + const labels + decode bits). *)
 
+val material : garbling -> string
+(** The shipped material itself, [tables_bytes] long: T_G ‖ T_E per AND
+    gate, then be32 wire ‖ active label per Const gate, then the output
+    decode bits packed LSB-first. *)
+
 val active_input : garbling -> int -> int -> string
 (** The label for input wire [i] carrying bit [v] (garbler side). *)
 

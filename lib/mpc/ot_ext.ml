@@ -119,3 +119,8 @@ let receiver_recover (ext : r_ext) ~(choices : int array) ~(cipher : (string * s
 (* Communication accounting helpers. *)
 let u_matrix_bytes (u : u_matrix) : int =
   Array.fold_left (fun acc c -> acc + String.length c) 0 u.cols
+
+(* Test hooks: the base-OT seeds and the u-matrix columns. *)
+let r_base_seeds (b : r_base) : string array * string array = (b.k0, b.k1)
+let s_base_seeds (b : s_base) : int array * string array = (b.s_bits, b.ks)
+let u_matrix_columns (u : u_matrix) : string array = u.cols

@@ -39,3 +39,10 @@ val u_matrix_bytes : u_matrix -> int
 
 val column_prg : string -> int -> int -> string
 val pad : int -> string -> int -> string
+val r_base_seeds : r_base -> string array * string array
+(** (k0, k1): the base sender's κ seed pairs. *)
+
+val s_base_seeds : s_base -> int array * string array
+(** (s_bits, ks): the base receiver's selection bits and chosen seeds. *)
+
+val u_matrix_columns : u_matrix -> string array
