@@ -71,12 +71,14 @@ type t = {
   account_password : string; (** the log-account credential (§2.1) *)
   rand : int -> string;
   log : Log_service.t;
-  chan : Channel.t; (** metered FIDO2/password traffic *)
+  chan : Channel.t; (** metered client↔log traffic other than the TOTP 2PC (label ["log"]) *)
   transport : Transport.t; (** fault/retry layer wrapping [chan] *)
   totp_offline : Channel.t; (** metered TOTP offline-phase traffic *)
   totp_online : Channel.t; (** metered TOTP online-phase traffic *)
   mutable ip : string; (** source address recorded by the log *)
-  mutable domains : int; (** client cores used for ZKBoo proving *)
+  mutable domains : int;
+      (** client cores: ZKBoo proving, and the TOTP base OTs overlapped
+          with garbling *)
   mutable fido2 : fido2_side option;
   mutable totp : totp_side option;
   mutable pw : pw_side option;
@@ -126,7 +128,10 @@ val resync : t -> unit
     list.  A no-op unless the previous operation failed mid-flight. *)
 
 val set_domains : t -> int -> unit
-(** Number of domains (cores) the client uses for ZKBoo proving. *)
+(** Number of domains (cores) the client uses: ZKBoo proving splits its
+    repetitions across them, and at 2 or more the TOTP 2PC runs its base
+    OTs on a second domain while garbling.  Results and randomness use
+    are the same at every setting. *)
 
 (** {1 Step 1: enrollment} *)
 

@@ -43,16 +43,19 @@ type outcome = {
   timings : Yao.timings; (* offline/online/evaluator split for the bench *)
 }
 
-let run_auth ~(pub : Statements.totp_public) ~(n_rps : int)
+let run_auth_on ~(domains : int) ~(pub : Statements.totp_public) ~(n_rps : int)
     ~(client : string * string * string * string) (* k, r, id, kclient *)
     ~(registrations : (string * string) list) ~(rand_client : int -> string)
     ~(rand_log : int -> string) ~(offline : Channel.t) ~(online : Channel.t) : outcome =
   Larch_obs.Trace.with_span "totp.2pc.run" @@ fun () ->
   Larch_obs.Trace.add_int "n_rps" n_rps;
   let k, r, id, kclient = client in
-  let circuit = Statements.totp_circuit ~n_rps pub in
-  let garbler_inputs = Statements.totp_client_input ~k ~r ~id ~kclient in
-  let evaluator_inputs = Statements.totp_log_input ~registrations in
+  let circuit, garbler_inputs, evaluator_inputs =
+    Larch_obs.Trace.with_span "totp.circuit" @@ fun () ->
+    ( Statements.totp_circuit ~n_rps pub,
+      Statements.totp_client_input ~k ~r ~id ~kclient,
+      Statements.totp_log_input ~registrations )
+  in
   let cfg =
     Yao.
       {
@@ -62,7 +65,7 @@ let run_auth ~(pub : Statements.totp_public) ~(n_rps : int)
       }
   in
   let res =
-    Yao.run cfg ~garbler_inputs ~evaluator_inputs ~rand_garbler:rand_client
+    Yao.run ~domains cfg ~garbler_inputs ~evaluator_inputs ~rand_garbler:rand_client
       ~rand_evaluator:rand_log ~offline ~online
   in
   let ok = res.Yao.evaluator_outputs.(0) = 1 in
@@ -71,3 +74,5 @@ let run_auth ~(pub : Statements.totp_public) ~(n_rps : int)
   in
   let hmac = Larch_util.Bytesx.string_of_bits res.Yao.garbler_outputs in
   { code = Larch_auth.Totp.truncate hmac; hmac; ok; ct; timings = res.Yao.timings }
+
+let run_auth = run_auth_on ~domains:1

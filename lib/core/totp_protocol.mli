@@ -28,7 +28,8 @@ type outcome = {
   timings : Yao.timings;
 }
 
-val run_auth :
+val run_auth_on :
+  domains:int ->
   pub:Statements.totp_public ->
   n_rps:int ->
   client:string * string * string * string ->
@@ -40,4 +41,18 @@ val run_auth :
   outcome
 (** One full 2PC execution.  [client] is (archive key, commitment nonce,
     registration id, client key share); [registrations] the log's
-    (id, klog) table. *)
+    (id, klog) table; [domains] is the client's core budget (see
+    {!Larch_mpc.Yao.run}): the outcome, every byte sent and every DRBG draw
+    are the same at each value. *)
+
+val run_auth :
+  pub:Statements.totp_public ->
+  n_rps:int ->
+  client:string * string * string * string ->
+  registrations:(string * string) list ->
+  rand_client:(int -> string) ->
+  rand_log:(int -> string) ->
+  offline:Channel.t ->
+  online:Channel.t ->
+  outcome
+(** [run_auth_on ~domains:1]. *)

@@ -34,3 +34,9 @@ val feed_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
 val k : int array
 val initial_state : int array
 val compress : int array -> string -> int -> unit
+
+val compress_with : int array -> int array -> string -> int -> unit
+(** [compress_with w h block off]: one compression of the 64-byte block at
+    [off] into the state [h], with [w] (64 ints) as message-schedule
+    scratch — allocation-free, for callers that lay out and pad their own
+    blocks (the garbling oracle, the IKNP pads). *)

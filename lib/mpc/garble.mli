@@ -3,14 +3,16 @@
 
     Two 16-byte ciphertexts per AND gate; XOR/NOT are free.  Semi-honest —
     the paper uses authenticated garbling for malicious security; see
-    DESIGN.md §1 for why the substitution preserves the reported shapes. *)
+    DESIGN.md §1 for why the substitution preserves the reported shapes.
+    Both sides run over flat label and table buffers; DESIGN.md "Garbling
+    pipeline" gives the layout. *)
 
 module Circuit = Larch_circuit.Circuit
 
 val label_len : int
 
 type garbling = {
-  tables : (string * string) array; (** (T_G, T_E) per AND gate *)
+  tables : string; (** T_G ‖ T_E (16 B each) per AND gate, in dense AND order *)
   const_labels : (int * string) list; (** active labels of Const wires *)
   input_zero : string array; (** zero-label per input wire (garbler secret) *)
   offset : string; (** the global free-XOR offset R (garbler secret) *)
@@ -33,7 +35,7 @@ val active_input : garbling -> int -> int -> string
 
 val evaluate :
   Circuit.t ->
-  tables:(string * string) array ->
+  tables:string ->
   const_labels:(int * string) list ->
   active_inputs:string array ->
   string array
@@ -44,9 +46,9 @@ val decode_outputs : garbling -> string array -> int array
 
 val garbler_decode : garbling -> int -> string -> int option
 (** Decode an output label returned by the evaluator; [None] means the
-    label is not one of the two valid ones (evaluator cheating). *)
+    label is not one of the two valid ones (evaluator cheating).  Compares
+    in constant time against both valid labels. *)
 
 (**/**)
 
 val lsb : string -> int
-val hash : string -> int -> string

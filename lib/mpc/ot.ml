@@ -8,13 +8,15 @@
 module Point = Larch_ec.Point
 module Scalar = Larch_ec.P256.Scalar
 
-type sender_state = { a : Scalar.t; a_pub : Point.t }
+type sender_state = { a : Scalar.t; a_pub : Point.t; a_a : Point.t (* a·A *) }
 type sender_setup = { s_pub : Point.t }
 
-let sender_setup ~(rand_bytes : int -> string) : sender_state * sender_setup =
-  let a = Scalar.random_nonzero ~rand_bytes in
+(* Callers draw the scalars themselves, so every DRBG draw of a batch of
+   OTs can happen before (and apart from) the group arithmetic. *)
+let sender_setup (a : Scalar.t) : sender_state * sender_setup =
   let a_pub = Point.mul_base a in
-  ({ a; a_pub }, { s_pub = a_pub })
+  (* a·A = a²·G: a fixed-base multiplication, once per sender *)
+  ({ a; a_pub; a_a = Point.mul_base (Scalar.mul a a) }, { s_pub = a_pub })
 
 type receiver_state = { shared : Point.t }
 type receiver_msg = { r_pub : Point.t }
@@ -23,19 +25,18 @@ let derive_key (tag : string) (p : Point.t) (len : int) : string =
   Larch_hash.Hkdf.derive ~ikm:(Point.encode p) ~info:("larch-ot" ^ tag) ~len ()
 
 (* Receiver with choice bit [choice]: B = g^b (choice 0) or A·g^b (choice 1). *)
-let receiver_choose ~(setup : sender_setup) ~(choice : int) ~(rand_bytes : int -> string) :
+let receiver_choose ~(setup : sender_setup) ~(choice : int) (b : Scalar.t) :
     receiver_state * receiver_msg =
-  let b = Scalar.random_nonzero ~rand_bytes in
   let gb = Point.mul_base b in
   let r_pub = if choice land 1 = 0 then gb else Point.add setup.s_pub gb in
   ({ shared = Point.mul b setup.s_pub }, { r_pub })
 
-(* Sender derives both pads: k0 = H(B^a), k1 = H((B/A)^a). *)
+(* Sender derives both pads: k0 = H(B^a), k1 = H((B/A)^a) = H(B^a / A^a),
+   so one variable-base multiplication per OT. *)
 let sender_keys ~(state : sender_state) ~(msg : receiver_msg) ~(key_len : int) : string * string
     =
-  let k0 = derive_key "k" (Point.mul state.a msg.r_pub) key_len in
-  let k1 = derive_key "k" (Point.mul state.a (Point.sub msg.r_pub state.a_pub)) key_len in
-  (k0, k1)
+  let ab = Point.mul state.a msg.r_pub in
+  (derive_key "k" ab key_len, derive_key "k" (Point.sub ab state.a_a) key_len)
 
 (* Convenience: complete OT of two equal-length messages. *)
 type sender_payload = { e0 : string; e1 : string }

@@ -9,18 +9,21 @@ module Scalar = Larch_ec.P256.Scalar
 type sender_state
 type sender_setup = { s_pub : Point.t }
 
-val sender_setup : rand_bytes:(int -> string) -> sender_state * sender_setup
+val sender_setup : Scalar.t -> sender_state * sender_setup
+(** The sender's secret a (a uniform nonzero scalar) and A = g^a. *)
 
 type receiver_state
 type receiver_msg = { r_pub : Point.t }
 
 val receiver_choose :
-  setup:sender_setup -> choice:int -> rand_bytes:(int -> string) -> receiver_state * receiver_msg
-(** B = g^b for choice 0, A·g^b for choice 1. *)
+  setup:sender_setup -> choice:int -> Scalar.t -> receiver_state * receiver_msg
+(** With the receiver's secret b (a uniform nonzero scalar): B = g^b for
+    choice 0, A·g^b for choice 1. *)
 
 val sender_keys : state:sender_state -> msg:receiver_msg -> key_len:int -> string * string
 (** Both pads: k₀ = H(B^a), k₁ = H((B/A)^a); the receiver can compute only
-    the chosen one. *)
+    the chosen one.  k₁ comes from B^a and the sender's cached A^a, so a
+    call costs one variable-base multiplication. *)
 
 type sender_payload = { e0 : string; e1 : string }
 

@@ -34,9 +34,19 @@ type outcome = {
 
 exception Cheating of string
 
-let run (cfg : config) ~(garbler_inputs : bool array) ~(evaluator_inputs : bool array)
-    ~(rand_garbler : int -> string) ~(rand_evaluator : int -> string)
-    ~(offline : Channel.t) ~(online : Channel.t) : outcome =
+(* The garbler's decode of the output labels the evaluator returns, which
+   are outputs [first, first + n) of the circuit. *)
+let garbler_outputs (g : Garble.garbling) ~(first : int) (returned : string array) : int array =
+  Array.mapi
+    (fun i l ->
+      match Garble.garbler_decode g (first + i) l with
+      | Some v -> v
+      | None -> raise (Cheating "invalid output label returned"))
+    returned
+
+let run ?(domains = 1) (cfg : config) ~(garbler_inputs : bool array)
+    ~(evaluator_inputs : bool array) ~(rand_garbler : int -> string)
+    ~(rand_evaluator : int -> string) ~(offline : Channel.t) ~(online : Channel.t) : outcome =
   let c = cfg.circuit in
   let n_g = cfg.n_garbler_inputs in
   let n_e = c.Circuit.n_inputs - n_g in
@@ -55,15 +65,29 @@ let run (cfg : config) ~(garbler_inputs : bool array) ~(evaluator_inputs : bool 
   let r_base, s_base, g =
     Trace.with_span "yao.offline" @@ fun () ->
     Trace.add_int "n_and" c.Circuit.n_and;
-    (* base OTs for the extension (evaluator = extension receiver) *)
-    let r_base, s_base, base_bytes =
-      Ot_ext.run_base_ots ~rand_bytes_r:rand_evaluator ~rand_bytes_s:rand_garbler
+    (* base OTs for the extension (evaluator = extension receiver).  Every
+       draw is made here, before garbling draws from the garbler's DRBG, so
+       each stream is consumed in the sequential order; the arithmetic then
+       overlaps garbling when the client has a second domain. *)
+    let draws =
+      Trace.with_span "yao.base_ots" (fun () ->
+          Ot_ext.draw_base_ots ~rand_bytes_r:rand_evaluator ~rand_bytes_s:rand_garbler)
     in
-    eval_cpu := !eval_cpu +. ((clock () -. t_start) /. 2.);
+    let t_draws = clock () in
+    let (r_base, s_base, base_bytes, base_seconds), g =
+      Larch_util.Parallel.both ~domains
+        (fun () ->
+          Trace.with_span "yao.base_ots" (fun () ->
+              let t0 = clock () in
+              let r_base, s_base, bytes = Ot_ext.base_ots draws in
+              (r_base, s_base, bytes, clock () -. t0)))
+        (fun () -> Trace.with_span "yao.garble" (fun () -> Garble.garble c ~rand_bytes:rand_garbler))
+    in
+    (* the evaluator's half of the base-OT work *)
+    eval_cpu := !eval_cpu +. ((t_draws -. t_start +. base_seconds) /. 2.);
     ignore (Channel.send offline Channel.Client_to_log (String.make (base_bytes / 2) '\000'));
     ignore (Channel.send offline Channel.Log_to_client (String.make (base_bytes - (base_bytes / 2)) '\000'));
-    (* garble and ship the tables *)
-    let g = Garble.garble c ~rand_bytes:rand_garbler in
+    (* ship the tables *)
     ignore (Channel.send offline Channel.Client_to_log (String.make (Garble.tables_bytes g) '\000'));
     (r_base, s_base, g)
   in
@@ -71,19 +95,23 @@ let run (cfg : config) ~(garbler_inputs : bool array) ~(evaluator_inputs : bool 
   (* --- online phase --- *)
   Trace.with_span "yao.online" @@ fun () ->
   (* OT extension for the evaluator's input labels *)
-  let choices = Array.map (fun b -> if b then 1 else 0) evaluator_inputs in
-  let r_ext, u = timed_eval (fun () -> Ot_ext.receiver_extend r_base ~choices) in
-  ignore (Channel.send online Channel.Log_to_client (String.make (Ot_ext.u_matrix_bytes u) '\000'));
-  let s_ext = Ot_ext.sender_extend s_base ~u ~m:n_e in
-  let label_pairs =
-    Array.init n_e (fun i ->
-        (Garble.active_input g (n_g + i) 0, Garble.active_input g (n_g + i) 1))
+  let evaluator_labels =
+    Trace.with_span "yao.ot_ext" @@ fun () ->
+    let choices = Array.map (fun b -> if b then 1 else 0) evaluator_inputs in
+    let r_ext, u = timed_eval (fun () -> Ot_ext.receiver_extend r_base ~choices) in
+    ignore (Channel.send online Channel.Log_to_client (String.make (Ot_ext.u_matrix_bytes u) '\000'));
+    let s_ext = Ot_ext.sender_extend s_base ~u ~m:n_e in
+    let label_pairs =
+      Array.init n_e (fun i ->
+          (Garble.active_input g (n_g + i) 0, Garble.active_input g (n_g + i) 1))
+    in
+    let cipher = Ot_ext.sender_encrypt s_ext ~pairs:label_pairs in
+    ignore
+      (Channel.send online Channel.Client_to_log
+         (String.make (Array.fold_left (fun a (x, y) -> a + String.length x + String.length y) 0 cipher) '\000'));
+    timed_eval (fun () -> Ot_ext.receiver_recover r_ext ~choices ~cipher)
   in
-  let cipher = Ot_ext.sender_encrypt s_ext ~pairs:label_pairs in
-  ignore
-    (Channel.send online Channel.Client_to_log
-       (String.make (Array.fold_left (fun a (x, y) -> a + String.length x + String.length y) 0 cipher) '\000'));
-  let evaluator_labels = timed_eval (fun () -> Ot_ext.receiver_recover r_ext ~choices ~cipher) in
+  Trace.with_span "yao.evaluate" @@ fun () ->
   (* garbler's own active input labels *)
   let garbler_labels =
     Array.init n_g (fun i -> Garble.active_input g i (if garbler_inputs.(i) then 1 else 0))
@@ -107,14 +135,7 @@ let run (cfg : config) ~(garbler_inputs : bool array) ~(evaluator_inputs : bool 
   ignore
     (Channel.send online Channel.Log_to_client
        (String.make ((n_out - n_eo) * Garble.label_len) '\000'));
-  let garbler_outputs =
-    Array.mapi
-      (fun i l ->
-        match Garble.garbler_decode g (n_eo + i) l with
-        | Some v -> v
-        | None -> raise (Cheating "invalid output label returned"))
-      returned
-  in
+  let garbler_outputs = garbler_outputs g ~first:n_eo returned in
   let t_end = clock () in
   {
     garbler_outputs;

@@ -28,7 +28,13 @@ type outcome = {
 
 exception Cheating of string
 
+val garbler_outputs : Garble.garbling -> first:int -> string array -> int array
+(** The garbler's decode of the output labels the evaluator returned for
+    outputs [first, first + n).
+    @raise Cheating if one is neither of that wire's two valid labels *)
+
 val run :
+  ?domains:int ->
   config ->
   garbler_inputs:bool array ->
   evaluator_inputs:bool array ->
@@ -37,4 +43,8 @@ val run :
   offline:Channel.t ->
   online:Channel.t ->
   outcome
-(** @raise Cheating if the evaluator returns an invalid output label *)
+(** [domains] (default 1) is the garbler's core budget: at 2 or more the
+    base-OT arithmetic runs on a second domain while the calling domain
+    garbles.  All DRBG draws stay on the calling domain, in the same order
+    either way, so the outcome and every byte sent are the same.
+    @raise Cheating if the evaluator returns an invalid output label *)

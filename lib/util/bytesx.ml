@@ -49,6 +49,13 @@ let be32 (v : int) : string =
   Bytes.set_uint8 b 3 (v land 0xff);
   Bytes.unsafe_to_string b
 
+(* In place, allocation-free: [v]'s low 32 bits, big-endian, at [off]. *)
+let set_be32 (b : Bytes.t) (off : int) (v : int) : unit =
+  Bytes.set b off (Char.unsafe_chr ((v lsr 24) land 0xff));
+  Bytes.set b (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.set b (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.set b (off + 3) (Char.unsafe_chr (v land 0xff))
+
 let be64 (v : int64) : string =
   let b = Bytes.create 8 in
   Bytes.set_int64_be b 0 v;

@@ -19,5 +19,9 @@ val string_of_bits : int array -> string
 val be32 : int -> string
 val be64 : int64 -> string
 
+val set_be32 : Bytes.t -> int -> int -> unit
+(** [set_be32 b off v] writes the low 32 bits of [v] big-endian at [off],
+    without allocating. *)
+
 val concat : string list -> string
 val pp_bytes_human : Format.formatter -> float -> unit

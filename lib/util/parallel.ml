@@ -85,3 +85,30 @@ let map ~(domains : int) (f : 'a -> 'b) (xs : 'a array) : 'b array =
       (function Some r -> r | None -> failwith "Parallel.map: missing result")
       results
   end
+
+(* Overlap two independent computations: [f] on a spawned domain, [g] on
+   the calling one; with [domains <= 1], [f ()] then [g ()] in the calling
+   domain.  [f] must not touch state the calling domain uses meanwhile.
+   Traced like [map]'s workers: [f] runs under a "parallel.worker" span
+   on lane 1000 adopted into the caller's span, and the caller's wait for
+   it is a "parallel.join" span. *)
+let both ~(domains : int) (f : unit -> 'a) (g : unit -> 'b) : 'a * 'b =
+  if domains <= 1 then
+    let a = f () in
+    (a, g ())
+  else begin
+    let traced = Obs.Runtime.tracing_enabled () in
+    let parent = if traced then Obs.Trace.current () else None in
+    let d =
+      Domain.spawn (fun () ->
+          if not traced then f ()
+          else
+            Obs.Trace.with_tid 1000 (fun () ->
+                Obs.Trace.with_parent parent (fun () -> Obs.Trace.with_span "parallel.worker" f)))
+    in
+    match g () with
+    | b -> (Obs.Trace.with_span "parallel.join" (fun () -> Domain.join d), b)
+    | exception e ->
+        (try ignore (Domain.join d) with _ -> ());
+        raise e
+  end

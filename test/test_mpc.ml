@@ -88,10 +88,12 @@ let spdz_halfmul_detects_nonce_shift () =
     (Spdz.open_check ~own:st0 ~other_commit:c1 ~other_reveal:st1.Spdz.reveal)
 
 let base_ot_correct () =
-  let st, setup = Ot.sender_setup ~rand_bytes:rand in
+  let st, setup = Ot.sender_setup (Scalar.random_nonzero ~rand_bytes:rand) in
   List.iter
     (fun choice ->
-      let rstate, rmsg = Ot.receiver_choose ~setup ~choice ~rand_bytes:rand in
+      let rstate, rmsg =
+        Ot.receiver_choose ~setup ~choice (Scalar.random_nonzero ~rand_bytes:rand)
+      in
       let m0 = rand 24 and m1 = rand 24 in
       let payload = Ot.sender_encrypt ~state:st ~msg:rmsg ~m0 ~m1 in
       let got = Ot.receiver_recover ~state:rstate ~choice payload in
@@ -166,6 +168,79 @@ let garble_matches_cleartext () =
       out_labels
   done
 
+(* Property: over random circuits that include Const, Not and And(a, a)
+   gates, garble → evaluate → decode agrees with cleartext evaluation on
+   both sides, and a returned output label with one bit flipped is caught
+   as cheating. *)
+let garble_random_circuit_props =
+  let module C = Larch_circuit.Circuit in
+  let gen =
+    QCheck.Gen.(
+      let* n_in = int_range 1 8 in
+      let* n_gates = int_range 1 60 in
+      let* seed = string_size ~gen:char (return 16) in
+      return (n_in, n_gates, seed))
+  in
+  let arb = QCheck.make ~print:(fun (a, b, _) -> Printf.sprintf "in=%d gates=%d" a b) gen in
+  [
+    QCheck.Test.make ~name:"garble/evaluate/decode = eval" ~count:100 arb
+      (fun (n_in, n_gates, seed) ->
+        let prg = Larch_hash.Drbg.of_seed ("garble-prop" ^ seed) in
+        let byte () = Char.code (prg 1).[0] in
+        let gates =
+          Array.init n_gates (fun i ->
+              let pick () = byte () mod (n_in + i) in
+              match byte () mod 5 with
+              | 0 -> C.And (pick (), pick ())
+              | 1 ->
+                  let a = pick () in
+                  C.And (a, a)
+              | 2 -> C.Xor (pick (), pick ())
+              | 3 -> C.Not (pick ())
+              | _ -> C.Const (byte () land 1 = 1))
+        in
+        let n_out = 1 + (byte () mod 8) in
+        let c =
+          C.make ~n_inputs:n_in ~gates ~outputs:(Array.init n_out (fun _ -> byte () mod (n_in + n_gates)))
+        in
+        let bits = Array.init n_in (fun _ -> byte () land 1 = 1) in
+        let expected = Array.map (fun b -> if b then 1 else 0) (C.eval c bits) in
+        let g = Garble.garble c ~rand_bytes:prg in
+        let active_inputs = Array.mapi (fun i b -> Garble.active_input g i (if b then 1 else 0)) bits in
+        let out =
+          Garble.evaluate c ~tables:g.Garble.tables ~const_labels:g.Garble.const_labels ~active_inputs
+        in
+        let flip = byte () mod n_out and bit = byte () mod (8 * Garble.label_len) in
+        let tampered =
+          Array.mapi
+            (fun i l ->
+              if i <> flip then l
+              else begin
+                let b = Bytes.of_string l in
+                Bytesx.set_bit b bit (1 - Bytesx.get_bit l bit);
+                Bytes.to_string b
+              end)
+            out
+        in
+        Garble.decode_outputs g out = expected
+        && Yao.garbler_outputs g ~first:0 out = expected
+        &&
+        match Yao.garbler_outputs g ~first:0 tampered with
+        | _ -> false
+        | exception Yao.Cheating _ -> true);
+  ]
+
+(* The allocation-free IKNP pad is HKDF-SHA256 of the row, for pads of one
+   and of several HKDF blocks. *)
+let iknp_pad_is_hkdf () =
+  List.iter
+    (fun len ->
+      let i = len * 7919 and row = rand 16 in
+      Alcotest.(check string) (Printf.sprintf "pad len %d" len)
+        (Larch_hash.Hkdf.derive ~ikm:row ~info:("iknp-pad" ^ Bytesx.be32 i) ~len ())
+        (Ot_ext.pad i row len))
+    [ 0; 1; 15; 16; 31; 32; 33; 64; 65; 100 ]
+
 let yao_totp_end_to_end () =
   let k = rand 32 and r = rand 16 in
   let cm = Larch_hash.Sha256.digest (k ^ r) in
@@ -219,10 +294,12 @@ let () =
         [
           Alcotest.test_case "base ot" `Quick base_ot_correct;
           Alcotest.test_case "iknp extension" `Quick iknp_correct;
+          Alcotest.test_case "iknp pad = hkdf" `Quick iknp_pad_is_hkdf;
         ] );
       ( "garble",
         [
           Alcotest.test_case "vs cleartext" `Quick garble_matches_cleartext;
           Alcotest.test_case "yao totp end-to-end" `Slow yao_totp_end_to_end;
         ] );
+      ("garble-props", List.map QCheck_alcotest.to_alcotest garble_random_circuit_props);
     ]

@@ -398,7 +398,20 @@ let parallel_tests () =
   let xs = Array.init 100 (fun i -> i) in
   let seq = Larch_util.Parallel.map ~domains:1 (fun x -> x * x) xs in
   let par = Larch_util.Parallel.map ~domains:4 (fun x -> x * x) xs in
-  Alcotest.(check (array int)) "parallel = sequential" seq par
+  Alcotest.(check (array int)) "parallel = sequential" seq par;
+  (* [both]: the same pair at either domain budget; an exception from
+     either side surfaces after both finish *)
+  let pair d = Larch_util.Parallel.both ~domains:d (fun () -> Array.fold_left ( + ) 0 xs) (fun () -> "g") in
+  Alcotest.(check (pair int string)) "both, 1 domain" (4950, "g") (pair 1);
+  Alcotest.(check (pair int string)) "both, 2 domains" (4950, "g") (pair 2);
+  List.iter
+    (fun (name, f, g) ->
+      Alcotest.check_raises name (Failure name) (fun () ->
+          ignore (Larch_util.Parallel.both ~domains:2 f g)))
+    [
+      ("worker raises", (fun () -> failwith "worker raises"), fun () -> ());
+      ("caller raises", (fun () -> ()), fun () -> failwith "caller raises");
+    ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
