@@ -62,7 +62,7 @@ type t = {
   totp_offline : Channel.t;
   totp_online : Channel.t;
   mutable ip : string;
-  mutable domains : int; (* client cores for ZKBoo proving *)
+  mutable domains : int; (* client cores: ZKBoo proving, base OTs beside garbling *)
   mutable fido2 : fido2_side option;
   mutable totp : totp_side option;
   mutable pw : pw_side option;
@@ -83,7 +83,7 @@ type t = {
 
 let create ?policy ?net ~(client_id : string) ~(account_password : string)
     ~(log : Log_service.t) ~(rand_bytes : int -> string) () : t =
-  let chan = Channel.create ~label:"fido2" () in
+  let chan = Channel.create ~label:"log" () in
   let transport = Transport.create ?policy ?net ~label:"log" chan in
   (* a peer restart loses the log's volatile in-flight session state *)
   Transport.on_restart transport (fun () -> Log_service.restart log);
@@ -526,7 +526,7 @@ let authenticate_totp_detailed (t : t) ~(rp_name : string) ~(time : float) :
             let pub =
               { Statements.cm; enc_nonce; time_counter = Larch_auth.Totp.counter_of_time time }
             in
-            Totp_protocol.run_auth ~pub ~n_rps:(List.length registrations)
+            Totp_protocol.run_auth_on ~domains:t.domains ~pub ~n_rps:(List.length registrations)
               ~client:(s.tk, s.tr, cred.tid, cred.kclient)
               ~registrations ~rand_client:t.rand ~rand_log ~offline:t.totp_offline
               ~online:t.totp_online))
