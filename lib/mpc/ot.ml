@@ -8,15 +8,14 @@
 module Point = Larch_ec.Point
 module Scalar = Larch_ec.P256.Scalar
 
-type sender_state = { a : Scalar.t; a_pub : Point.t; a_a : Point.t (* a·A *) }
+type sender_state = { a : Scalar.t; a_a : Point.t (* a·A *) }
 type sender_setup = { s_pub : Point.t }
 
 (* Callers draw the scalars themselves, so every DRBG draw of a batch of
    OTs can happen before (and apart from) the group arithmetic. *)
 let sender_setup (a : Scalar.t) : sender_state * sender_setup =
-  let a_pub = Point.mul_base a in
   (* a·A = a²·G: a fixed-base multiplication, once per sender *)
-  ({ a; a_pub; a_a = Point.mul_base (Scalar.mul a a) }, { s_pub = a_pub })
+  ({ a; a_a = Point.mul_base (Scalar.mul a a) }, { s_pub = Point.mul_base a })
 
 type receiver_state = { shared : Point.t }
 type receiver_msg = { r_pub : Point.t }
