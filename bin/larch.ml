@@ -239,8 +239,8 @@ let faults_run ~(seed : string) ~(auths : int) : string * string =
   Client.resync client;
   let resp = Log_service.audit_with_head log ~client_id:"fault-user" ~token:"pw" in
   Buffer.add_string buf
-    (Printf.sprintf "audit chain len=%d head=%s\n" resp.Log_service.chain_len
-       (hex resp.Log_service.chain_head));
+    (Printf.sprintf "merkle head size=%d root=%s\n" resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
+       (hex resp.Log_service.sth.Larch_merkle.Merkle.Sth.root));
   let snap = Client.channel_snapshot client in
   Buffer.add_string buf
     (Printf.sprintf "wire up=%d down=%d msgs=%d rts=%d\n" snap.Larch_net.Channel.up
@@ -603,7 +603,7 @@ let print_fsck (fr : Log_persist.fsck) =
   Printf.printf "  semantic: %d WAL ops replayed over %d clients\n" fr.Log_persist.wal_ops
     fr.Log_persist.clients;
   (match fr.Log_persist.issues with
-  | [] -> print_endline "  invariants: hash chains, presig cursors, replay-match all hold"
+  | [] -> print_endline "  invariants: merkle trees, presig cursors, replay-match all hold"
   | l -> List.iter (fun i -> Printf.printf "  ISSUE: %s\n" i) l)
 
 let fsck_run seed auths =
@@ -787,9 +787,9 @@ let audit_run ~(seed : string) ~(auths : int) : string * string * bool =
         all_ok := false;
         line "  auth %d: audit FAILED: %s" i e)
   done;
-  (* phase 2: the log rolls back one record and re-derives chain + tree;
-     the client's next verified audit must refuse *)
-  line "rollback: the log drops the newest record and re-derives chain+tree";
+  (* phase 2: the log rolls back one record and re-derives its tree; the
+     client's next verified audit must refuse *)
+  line "rollback: the log drops the newest record and re-derives its tree";
   let cs = Log_service.get_client log "audit-user" in
   (match cs.Log_service.records with
   | _ :: rest -> cs.Log_service.records <- rest
@@ -1046,7 +1046,7 @@ let store_auths_arg =
 let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
-       ~doc:"Verify a store: frame checksums, record hash chains, presignature cursor \
+       ~doc:"Verify a store: frame checksums, per-client Merkle trees, presignature cursor \
              monotonicity, live-vs-replayed state match; then inject bit rot and show \
              detection and snapshot-fallback recovery")
     Term.(const fsck_run $ store_seed_arg $ store_auths_arg)

@@ -2,7 +2,7 @@
 
    Alice backs up her encrypted client state at the log, loses every
    device, recovers with only her log-account password, and keeps auditing
-   with hash-chain verification that would expose a log rewriting history.
+   with Merkle-tree verification that would expose a log rewriting history.
 
      dune exec examples/account_recovery.exe *)
 
@@ -39,10 +39,10 @@ let () =
       Printf.printf "recovered on a new device; password login %s\n"
         (if Relying_party.password_login rp ~username:"alice" ~password:pw' then "works"
          else "FAILED");
-      (* Verified audit: the client checks the log's record hash chain. *)
+      (* Verified audit: the client checks the log's signed Merkle tree head. *)
       (match Client.audit_verified restored with
       | Ok entries ->
-          Printf.printf "verified audit: %d entries, chain consistent\n" (List.length entries)
+          Printf.printf "verified audit: %d entries, tree consistent\n" (List.length entries)
       | Error e -> Printf.printf "verified audit FAILED: %s\n" e);
       (* A wrong password cannot open the backup. *)
       match

@@ -66,7 +66,6 @@ type t = {
   mutable fido2 : fido2_side option;
   mutable totp : totp_side option;
   mutable pw : pw_side option;
-  mutable last_chain : (string * int) option; (* last verified audit head *)
   sth_pub : Point.t; (* the log's tree-head verification key, pinned at create *)
   mutable last_sth : Merkle.Sth.t option; (* last tree head verified by an audit *)
   mutable audited : Record.t list; (* records covered by [last_sth], oldest first *)
@@ -101,7 +100,6 @@ let create ?policy ?net ~(client_id : string) ~(account_password : string)
     fido2 = None;
     totp = None;
     pw = None;
-    last_chain = None;
     sth_pub = Log_service.sth_pub log;
     last_sth = None;
     audited = [];
@@ -647,46 +645,37 @@ let audit (t : t) : audit_entry list =
     (Transport.invoke t.transport ~op:"audit" (fun () ->
          Log_service.audit t.log ~client_id:t.client_id ~token:t.account_password))
 
-let chain_over (rs : Record.t list) : string =
-  List.fold_left
-    (fun h r -> Larch_hash.Sha256.digest_list [ "larch-chain"; h; Record.encode r ])
-    (Larch_hash.Sha256.digest "larch-chain-genesis")
-    rs
-
-(* Legacy full-download verification: recompute the whole record hash
-   chain, check the reported head, and check prefix consistency against
-   the last audit.  O(n) hashing — the Merkle fast path below avoids it. *)
-let audit_verified_scan (t : t) (resp : Log_service.audit_response) :
-    (audit_entry list, string) result =
-  let records = resp.Log_service.records in
-  if resp.Log_service.since <> 0 then Error "log refused to serve the full history"
-  else if List.length records <> resp.Log_service.chain_len then
-    Error "log reported inconsistent record count"
-  else if not (Bytesx.ct_equal (chain_over records) resp.Log_service.chain_head) then
-    Error "record list does not match the log's chain head"
-  else begin
-    let prefix_ok =
-      match t.last_chain with
-      | None -> true
-      | Some (old_head, old_len) ->
-          old_len <= List.length records
-          && Bytesx.ct_equal (chain_over (List.filteri (fun i _ -> i < old_len) records)) old_head
-    in
-    if not prefix_ok then Error "log rolled back or rewrote previously audited records"
-    else Ok (audit_of_records t records)
-  end
+(* Full-download fallback: rebuild the Merkle tree over every served
+   record and name the anomaly that made the fast path fail.  O(n)
+   hashing — only a misbehaving log pays it.  Every outcome is an error:
+   the verified view only advances on the fast path. *)
+let audit_verified_scan (t : t) (resp : Log_service.audit_response) : string =
+  let sth = resp.Log_service.sth in
+  let tree = Merkle.Tree.of_leaves (List.map Record.encode resp.Log_service.records) in
+  let n = Merkle.Tree.size tree in
+  if resp.Log_service.since <> 0 then "log refused to serve the full history"
+  else if not (Merkle.Sth.verify ~pk:t.sth_pub ~client_id:t.client_id sth) then
+    "log's signed tree head does not verify"
+  else if
+    sth.Merkle.Sth.size <> n || not (Bytesx.ct_equal (Merkle.Tree.root tree) sth.Merkle.Sth.root)
+  then "log's signed tree head does not match the records it serves (equivocation suspected)"
+  else
+    match t.last_sth with
+    | Some { Merkle.Sth.size = old_size; root = old_root; _ }
+      when old_size > n || not (Bytesx.ct_equal (Merkle.Tree.root_at tree old_size) old_root) ->
+        "log rolled back or rewrote previously audited records"
+    | _ -> "log served invalid proofs for a consistent history"
 
 (* Verified audit, Merkle fast path: download only the delta since the
    last verified tree size, check the signed head, the consistency proof
    old-head → new-head, and one inclusion proof per new record — O(log n)
    hashing per audit instead of rehashing the whole history.
 
-   Any mismatch falls back to the full-download chain scan, whose result
-   is reported as an anomaly either way: if the scan pinpoints the lie
-   (rollback, head mismatch) that error surfaces; if the chain looks
-   clean while the tree does not, the log is presenting two views of the
-   same history and we say so.  The verified state ([last_sth],
-   [audited], [last_chain]) only ever advances on the fast path. *)
+   Any mismatch falls back to the full-download scan, which names the
+   anomaly: an unsigned or equivocating head, a rollback or rewrite of
+   audited records, or bad proofs for a consistent history.  The
+   verified state ([last_sth], [audited]) only ever advances on the
+   fast path. *)
 let audit_verified (t : t) : (audit_entry list, string) result =
   Trace.with_span "client.audit.verified" @@ fun () ->
   let since = List.length t.audited in
@@ -701,7 +690,6 @@ let audit_verified (t : t) : (audit_entry list, string) result =
     resp.Log_service.since = since
     && Merkle.Sth.verify ~pk:t.sth_pub ~client_id:t.client_id sth
     && sth.Merkle.Sth.size = since + List.length delta
-    && resp.Log_service.chain_len = sth.Merkle.Sth.size
     && (match t.last_sth with
        | None -> since = 0
        | Some old ->
@@ -726,7 +714,6 @@ let audit_verified (t : t) : (audit_entry list, string) result =
   if fast_ok then begin
     t.audited <- t.audited @ delta;
     t.last_sth <- Some sth;
-    t.last_chain <- Some (resp.Log_service.chain_head, resp.Log_service.chain_len);
     (* discharge brownout-deferred inclusion checks: every audited record
        was inclusion-verified against the live root, so a degraded ack is
        covered iff its exact record bytes sit at its acked leaf.  A log
@@ -750,12 +737,12 @@ let audit_verified (t : t) : (audit_entry list, string) result =
     else begin
       if obs_on () then m_inc "client.audit.deferred_missing";
       Error
-        "brownout-deferred record missing from the audited log (log acked without appending)"
+        "log acked a brownout-deferred record without appending it (missing from the audited log)"
     end
   end
   else begin
     (* the log could not extend our verified view: refetch everything and
-       let the chain scan name the anomaly *)
+       let the scan name the anomaly *)
     if obs_on () then m_inc "client.audit.fallbacks";
     let full =
       if resp.Log_service.since = 0 then resp
@@ -764,10 +751,7 @@ let audit_verified (t : t) : (audit_entry list, string) result =
             Log_service.audit_with_head ~since:0 t.log ~client_id:t.client_id
               ~token:t.account_password)
     in
-    match audit_verified_scan t full with
-    | Error _ as e -> e
-    | Ok _ ->
-        Error "log's merkle tree is inconsistent with its record chain (equivocation suspected)"
+    Error (audit_verified_scan t full)
   end
 
 (* Compare the log against locally expected activity: entries the client

@@ -82,8 +82,6 @@ type t = {
   mutable fido2 : fido2_side option;
   mutable totp : totp_side option;
   mutable pw : pw_side option;
-  mutable last_chain : (string * int) option;
-      (** head/length of the last verified audit chain *)
   sth_pub : Point.t;
       (** the log's tree-head verification key, pinned at {!create} *)
   mutable last_sth : Merkle.Sth.t option;
@@ -211,9 +209,9 @@ val audit_verified : t -> (audit_entry list, string) result
     since the last verified tree size and check the signed tree head, a
     consistency proof old-head → new-head, and one inclusion proof per
     new record — O(log n) hashing per audit.  On any mismatch, fall back
-    to the full download and the legacy hash-chain scan, and report the
-    anomaly (rollback, rewrite, or a tree/chain equivocation) as
-    [Error].  The verified state only advances on the fast path. *)
+    to the full download, rebuild the Merkle tree over it, and report
+    the anomaly (an equivocating head, rollback, rewrite, or bad proofs)
+    as [Error].  The verified state only advances on the fast path. *)
 
 val detect_anomalies : t -> expected:(Types.auth_method * string) list -> audit_entry list
 (** Entries in the log that the client did not initiate, given the activity

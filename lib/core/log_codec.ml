@@ -308,8 +308,6 @@ let put_client w (c : client_state) =
   put_float w c.policy.window_seconds;
   Wire.list w put_float c.recent_auths;
   put_opt (fun w b -> Wire.bytes w b) w c.backup;
-  Wire.bytes w c.chain_head;
-  Wire.u32 w c.chain_len;
   put_opt (fun w d -> Wire.bytes w d) w c.last_migrate
 
 let read_client r : client_state =
@@ -322,8 +320,6 @@ let read_client r : client_state =
   let window_seconds = read_float r in
   let recent_auths = Wire.read_list r read_float in
   let backup = read_opt Wire.read_bytes r in
-  let chain_head = Wire.read_bytes r in
-  let chain_len = Wire.read_u32 r in
   let last_migrate = read_opt Wire.read_bytes r in
   {
     account_token;
@@ -334,8 +330,6 @@ let read_client r : client_state =
     policy = { default_policy with max_auths_per_window = max_auths; window_seconds };
     recent_auths;
     backup;
-    chain_head;
-    chain_len;
     last_migrate;
     (* the Merkle tree is derived state: rebuilt from the decoded records
        (oldest first) so snapshot bytes stay canonical and comparable *)

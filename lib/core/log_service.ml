@@ -87,8 +87,6 @@ type client_state = Log_state.client_state = {
   mutable policy : policy;
   mutable recent_auths : float list;
   mutable backup : string option; (* opaque encrypted client-state blob (§9 recovery) *)
-  mutable chain_head : string; (* hash chain over records: rollback detection (§9) *)
-  mutable chain_len : int;
   mutable last_migrate : string option; (* δ of the last key migration, for retry dedup *)
   mutable tree : Merkle.Tree.t; (* Merkle tree over the records: O(log n) audits *)
 }
@@ -830,15 +828,12 @@ let audit (t : t) ~(client_id : string) ~(token : string) : Record.t list =
   List.rev c.records
 
 (* Everything an auditing client needs to extend its verified view:
-   the record delta since the tree size it last verified, the hash-chain
-   head (legacy rollback detection), a fresh STH, a consistency proof
-   from [since] to the new head, and one inclusion proof per delta
-   record. *)
+   the record delta since the tree size it last verified, a fresh STH,
+   a consistency proof from [since] to the new head, and one inclusion
+   proof per delta record. *)
 type audit_response = {
   records : Record.t list; (* the delta, oldest first *)
   since : int; (* tree size the delta starts at (clamped) *)
-  chain_head : string;
-  chain_len : int;
   sth : Merkle.Sth.t;
   consistency : string list; (* proof from [since] to [sth.size] *)
   proofs : string list list; (* inclusion proof per delta record *)
@@ -848,8 +843,6 @@ let put_audit_response (w : Wire.writer) (a : audit_response) : unit =
   Wire.u32 w (List.length a.records);
   List.iter (fun r -> Wire.bytes w (Record.encode r)) a.records;
   Wire.u32 w a.since;
-  Wire.fixed w a.chain_head;
-  Wire.u32 w a.chain_len;
   Merkle.Sth.put w a.sth;
   Merkle.put_proof w a.consistency;
   Wire.u32 w (List.length a.proofs);
@@ -868,15 +861,12 @@ let read_audit_response (r : Wire.reader) : audit_response =
   in
   let since = Wire.read_u32 r in
   if since < 0 then raise (Wire.Malformed "bad audit since");
-  let chain_head = Wire.read_fixed r 32 in
-  let chain_len = Wire.read_u32 r in
-  if chain_len < 0 then raise (Wire.Malformed "bad audit chain length");
   let sth = Merkle.Sth.read r in
   let consistency = Merkle.read_proof r in
   let np = Wire.read_u32 r in
   if np < 0 || np > max_audit_records then raise (Wire.Malformed "bad audit proof count");
   let proofs = List.init np (fun _ -> Merkle.read_proof r) in
-  { records; since; chain_head; chain_len; sth; consistency; proofs }
+  { records; since; sth; consistency; proofs }
 
 let encode_audit_response (a : audit_response) : string =
   Wire.encode (fun w -> put_audit_response w a)
@@ -912,7 +902,7 @@ let audit_with_head ?(since = 0) (t : t) ~(client_id : string) ~(token : string)
   in
   Events.emit ~client:client_id Events.Audit
     (Printf.sprintf "served %d-record delta from size %d with proofs" (List.length records) since);
-  { records; since; chain_head = c.chain_head; chain_len = c.chain_len; sth; consistency; proofs }
+  { records; since; sth; consistency; proofs }
 
 (* The signed head alone — what a multilog cross-check or a gossiping
    verifier fetches. *)

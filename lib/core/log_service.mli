@@ -68,12 +68,11 @@ type client_state = Log_state.client_state = {
   mutable policy : policy;
   mutable recent_auths : float list;
   mutable backup : string option; (** opaque encrypted client-state blob (§9) *)
-  mutable chain_head : string; (** hash chain over records (rollback detection) *)
-  mutable chain_len : int;
   mutable last_migrate : string option; (** δ of the last key migration (retry dedup) *)
   mutable tree : Merkle.Tree.t;
-      (** Merkle tree over the same records (oldest first).  Derived state:
-          never serialized, rebuilt from the records on recovery. *)
+      (** RFC 6962 Merkle tree over the records (oldest first): the one
+          tamper-evidence structure.  Derived state: never serialized,
+          rebuilt from the records on recovery. *)
 }
 
 type t = {
@@ -146,8 +145,8 @@ val decode_attestation : string -> (attestation, string) result
 
 val fsck : t -> Log_persist.fsck option
 (** Verify the attached store — structural checksums plus the semantic
-    invariants (hash-chain continuity, presignature cursor monotonicity,
-    live-vs-replayed state match).  [None] without a store. *)
+    invariants (Merkle tree matches the stored records, presignature
+    cursor monotonicity, live-vs-replayed state match).  [None] without a store. *)
 
 (** {1 Enrollment} *)
 
@@ -301,8 +300,6 @@ val audit : t -> client_id:string -> token:string -> Record.t list
 type audit_response = {
   records : Record.t list; (** the delta, oldest first *)
   since : int; (** tree size the delta starts at (clamped; echoes the request) *)
-  chain_head : string;
-  chain_len : int;
   sth : Merkle.Sth.t;
   consistency : string list; (** proof from [since] to [sth.size] *)
   proofs : string list list; (** inclusion proof per delta record *)
@@ -317,9 +314,8 @@ val encode_audit_response : audit_response -> string
 val decode_audit_response : string -> (audit_response, string) result
 
 val audit_with_head : ?since:int -> t -> client_id:string -> token:string -> audit_response
-(** Audit from tree size [since] (default 0): the record delta, the
-    hash-chain head (legacy rollback detection), a fresh STH, a
-    consistency proof [since] → head, and an inclusion proof per
+(** Audit from tree size [since] (default 0): the record delta, a fresh
+    STH, a consistency proof [since] → head, and an inclusion proof per
     record.  A [since] the log cannot serve (after a prune, or from a
     different fork) is clamped to 0 and the full history returned. *)
 

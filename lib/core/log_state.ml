@@ -2,7 +2,7 @@
 
    This module is the single write path for everything the log service
    must not lose across a crash: the per-client enrollment shares, the
-   encrypted record chains, the presignature inventory cursors, and the §9
+   encrypted records, the presignature inventory cursors, and the §9
    backup blobs.  [Log_service] validates a request, then commits one [op]
    — [apply] mutates the in-memory map and (when a store is attached)
    [Log_persist] appends the encoded op to the write-ahead log.  Recovery
@@ -68,18 +68,15 @@ type client_state = {
   mutable policy : policy;
   mutable recent_auths : float list;
   mutable backup : string option; (* opaque encrypted client-state blob (§9 recovery) *)
-  mutable chain_head : string; (* hash chain over records: rollback detection (§9) *)
-  mutable chain_len : int;
   mutable last_migrate : string option; (* δ of the last key migration, for retry dedup *)
   mutable tree : Merkle.Tree.t;
-      (* Merkle tree over the same records, oldest first: O(log n) audits.
-         Derived state — never serialized, rebuilt from the records on
-         recovery — so snapshots stay byte-identical across versions. *)
+      (* RFC 6962 Merkle tree over the records, oldest first: the one
+         tamper-evidence structure (rollback, rewrite and fork detection,
+         §9) and O(log n) audits.  Derived state — never serialized,
+         rebuilt from the records on recovery. *)
 }
 
 type clients = (string, client_state) Hashtbl.t
-
-let chain_genesis () : string = Larch_hash.Sha256.digest "larch-chain-genesis"
 
 let create_client ~(token : string) : client_state =
   {
@@ -91,38 +88,23 @@ let create_client ~(token : string) : client_state =
     policy = default_policy;
     recent_auths = [];
     backup = None;
-    chain_head = chain_genesis ();
-    chain_len = 0;
     last_migrate = None;
     tree = Merkle.Tree.create ();
   }
 
-(* Every stored record extends a per-client hash chain and the Merkle
-   tree; audits return the head so a client that remembers the last head
-   it saw can detect a log that rolls back or rewrites history (§9
-   "Multiple devices" / fork consistency). *)
+(* Every stored record extends the Merkle tree; audits return a signed
+   tree head so a client that remembers the last head it saw can detect
+   a log that rolls back or rewrites history (§9 "Multiple devices" /
+   fork consistency). *)
 let append_record (c : client_state) (r : Record.t) : unit =
-  let enc = Record.encode r in
   c.records <- r :: c.records;
-  c.chain_head <- Larch_hash.Sha256.digest_list [ "larch-chain"; c.chain_head; enc ];
-  c.chain_len <- c.chain_len + 1;
-  Merkle.Tree.append c.tree enc
+  Merkle.Tree.append c.tree (Record.encode r)
 
-(* Chain over a full record list, oldest first. *)
-let chain_over (records_oldest_first : Record.t list) : string =
-  List.fold_left
-    (fun h r -> Larch_hash.Sha256.digest_list [ "larch-chain"; h; Record.encode r ])
-    (chain_genesis ()) records_oldest_first
-
-(* Recompute every record-derived field — chain head/length and the
-   Merkle tree — from [c.records].  Recovery and pruning both rebuild
-   through here, so the derived state can never drift from the records
-   it summarizes. *)
+(* Recompute the Merkle tree from [c.records].  Recovery and pruning both
+   rebuild through here, so the tree can never drift from the records it
+   summarizes. *)
 let rebuild_derived (c : client_state) : unit =
-  let oldest_first = List.rev c.records in
-  c.chain_head <- chain_over oldest_first;
-  c.chain_len <- List.length oldest_first;
-  c.tree <- Merkle.Tree.of_leaves (List.map Record.encode oldest_first)
+  c.tree <- Merkle.Tree.of_leaves (List.map Record.encode (List.rev c.records))
 
 let fido2_state (c : client_state) : fido2_state =
   match c.fido2 with Some f -> f | None -> Types.fail "fido2 not enrolled"
@@ -259,8 +241,8 @@ let apply (clients : clients) ({ cid; op } : entry) : unit =
       let c = get clients cid in
       let keep = List.filter (fun (r : Record.t) -> r.Record.time >= older_than) c.records in
       c.records <- keep;
-      (* user-authorized truncation restarts the hash chain and the tree
-         so future audits verify against the pruned history *)
+      (* user-authorized truncation restarts the tree so future audits
+         verify against the pruned history *)
       rebuild_derived c
   | Revoke ->
       let c = get clients cid in

@@ -30,34 +30,19 @@ module Transport = Larch_net.Transport
 module Events = Larch_obs.Events
 module Merkle = Larch_merkle.Merkle
 
-(* Per-log circuit breaker: consecutive overload/timeout failures trip it
-   open for a cooldown, during which [authenticate] routes around the log
-   without spending a transport attempt on it; after the cooldown one
-   probe request is allowed through (half-open) — success closes the
-   breaker, failure re-trips it for another cooldown.  Garbled responses
-   do not count: corruption is damage in flight, not replica sickness. *)
-type breaker = {
-  mutable consecutive : int;
-  mutable open_until : float; (* simulated time the cooldown ends; 0 = closed *)
-  mutable trips : int;
-}
-
 type t = {
   logs : Log_service.t array;
   transports : Transport.t array;
   threshold : int;
   online : bool array;
   rand : int -> string;
-  breakers : breaker array;
-  breaker_threshold : int; (* consecutive failures to trip; 0 disables *)
-  breaker_cooldown : float; (* simulated seconds a tripped breaker stays open *)
 }
 
 (* With [disk] given, each of the n logs owns an independent store on the
    shared disk (directories log0/, log1/, …): a restart of log i recovers
    its own snapshot + WAL without touching its peers. *)
-let create ?policy ?net ?disk ?checkpoint_every ?(breaker_threshold = 0)
-    ?(breaker_cooldown = 5.) ~(n : int) ~(threshold : int) ~(rand_bytes : int -> string) () : t =
+let create ?policy ?net ?disk ?checkpoint_every ~(n : int) ~(threshold : int)
+    ~(rand_bytes : int -> string) () : t =
   if threshold < 1 || threshold > n then invalid_arg "Multilog.create: bad threshold";
   let logs =
     Array.init n (fun i ->
@@ -75,60 +60,9 @@ let create ?policy ?net ?disk ?checkpoint_every ?(breaker_threshold = 0)
         Transport.on_restart tr (fun () -> Log_service.restart logs.(i));
         tr)
   in
-  {
-    logs;
-    transports;
-    threshold;
-    online = Array.make n true;
-    rand = rand_bytes;
-    breakers = Array.init n (fun _ -> { consecutive = 0; open_until = 0.; trips = 0 });
-    breaker_threshold;
-    breaker_cooldown;
-  }
+  { logs; transports; threshold; online = Array.make n true; rand = rand_bytes }
 
 let n_logs (t : t) = Array.length t.logs
-
-let breaker_open (t : t) (i : int) : bool =
-  Larch_util.Clock.now () < t.breakers.(i).open_until
-
-let breaker_trips (t : t) (i : int) : int = t.breakers.(i).trips
-
-let breaker_note_ok (t : t) (i : int) ~(client : string) : unit =
-  let b = t.breakers.(i) in
-  if b.open_until > 0. then
-    Events.emit ~severity:Events.Info ~method_:"password" ~client Events.Failover
-      (Printf.sprintf "log%d circuit closed (probe succeeded)" i);
-  b.consecutive <- 0;
-  b.open_until <- 0.
-
-(* Only expensive failures count: timeouts and sheds burn the caller's
-   attempt budget, so routing around them saves real time.  Admin-down
-   ([Unavailable]) already fails fast — tripping on it would keep a
-   breaker open across deliberate up/down transitions — and [Garbled]
-   is corruption, not load. *)
-let breaker_counts = function
-  | Transport.Timeout | Transport.Overloaded _ -> true
-  | Transport.Unavailable | Transport.Garbled _ -> false
-
-let breaker_note_failure (t : t) (i : int) ~(client : string) (last : Transport.failure) : unit =
-  if t.breaker_threshold > 0 && breaker_counts last then begin
-    let b = t.breakers.(i) in
-    let now = Larch_util.Clock.now () in
-    (* a failed half-open probe re-trips immediately *)
-    let half_open = b.open_until > 0. && now >= b.open_until in
-    b.consecutive <- b.consecutive + 1;
-    if b.consecutive >= t.breaker_threshold || half_open then begin
-      b.open_until <- now +. t.breaker_cooldown;
-      b.trips <- b.trips + 1;
-      Larch_obs.Metrics.inc
-        (Larch_obs.Metrics.counter Larch_obs.Metrics.default "multilog.breaker.trips");
-      Events.emit ~severity:Events.Warn ~method_:"password" ~client Events.Failover
-        (Printf.sprintf "log%d circuit opened for %.1fs (%s after %d consecutive failures)" i
-           t.breaker_cooldown
-           (Transport.failure_to_string last)
-           b.consecutive)
-    end
-  end
 
 let set_online (t : t) (i : int) (up : bool) =
   t.online.(i) <- up;
@@ -268,20 +202,9 @@ let authenticate (t : t) (c : client) ~(rp_name : string) ~(now : float) : strin
   in
   let r, req = Password_protocol.client_auth ~idx ~x:c.x ~ids:c.ids ~rand_bytes:t.rand in
   let shares = ref [] in
-  let failed = ref [] in
   let rec gather = function
     | [] -> ()
     | _ when List.length !shares >= t.threshold -> ()
-    | i :: rest when breaker_open t i ->
-        (* the breaker is open: route around the sick replica without
-           spending transport attempts (or its retry backoff) on it *)
-        failed := i :: !failed;
-        Larch_obs.Metrics.inc
-          (Larch_obs.Metrics.counter Larch_obs.Metrics.default "multilog.breaker.skips");
-        Events.emit ~severity:Events.Info ~method_:"password" ~client:c.client_id Events.Failover
-          (Printf.sprintf "log%d skipped, circuit open (%d/%d shares)" i (List.length !shares)
-             t.threshold);
-        gather rest
     | i :: rest ->
         (match
            Transport.invoke t.transports.(i) ~op:"pw.auth" (fun () ->
@@ -290,12 +213,8 @@ let authenticate (t : t) (c : client) ~(rp_name : string) ~(now : float) : strin
                in
                y)
          with
-        | y ->
-            breaker_note_ok t i ~client:c.client_id;
-            shares := (i + 1, y) :: !shares
-        | exception Transport.Error err ->
-            failed := i :: !failed;
-            breaker_note_failure t i ~client:c.client_id err.Transport.last;
+        | y -> shares := (i + 1, y) :: !shares
+        | exception Transport.Error _ ->
             Larch_obs.Metrics.inc
               (Larch_obs.Metrics.counter Larch_obs.Metrics.default "multilog.failovers");
             Events.emit ~severity:Events.Warn ~method_:"password" ~client:c.client_id

@@ -15,23 +15,12 @@ module Scalar = Larch_ec.P256.Scalar
 module Shamir = Larch_mpc.Shamir
 module Transport = Larch_net.Transport
 
-(** Per-log circuit breaker state (see {!breaker_open}). *)
-type breaker = {
-  mutable consecutive : int;  (** consecutive overload/timeout failures *)
-  mutable open_until : float;
-      (** simulated time the cooldown ends; 0 = closed *)
-  mutable trips : int;
-}
-
 type t = {
   logs : Log_service.t array;
   transports : Transport.t array; (** one per log, labelled ["log<i>"] *)
   threshold : int;
   online : bool array;
   rand : int -> string;
-  breakers : breaker array;
-  breaker_threshold : int;
-  breaker_cooldown : float;
 }
 
 val create :
@@ -39,8 +28,6 @@ val create :
   ?net:Larch_net.Netsim.t ->
   ?disk:Larch_store.Disk.t ->
   ?checkpoint_every:int ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown:float ->
   n:int ->
   threshold:int ->
   rand_bytes:(int -> string) ->
@@ -49,24 +36,9 @@ val create :
 (** With [disk], each of the n logs opens an independent
     {!Larch_store.Store} in its own directory ([log0/], [log1/], …) on the
     shared disk, so a transport-injected restart of one log is a genuine
-    kill-and-recover that leaves its peers untouched.
-
-    [breaker_threshold] consecutive overload/timeout failures of one log
-    trip its circuit breaker: {!authenticate} routes around it for
-    [breaker_cooldown] (default 5) simulated seconds, then lets one
-    probe through — success closes the breaker, failure re-trips it.
-    The default [breaker_threshold = 0] disables the breakers — like
-    every other overload control, they are opt-in, so fault-injection
-    setups that rely on per-attempt retries keep their behavior. *)
+    kill-and-recover that leaves its peers untouched. *)
 
 val n_logs : t -> int
-
-val breaker_open : t -> int -> bool
-(** Log [i]'s circuit breaker is currently open (on the simulated
-    clock): {!authenticate} will skip it without an attempt. *)
-
-val breaker_trips : t -> int -> int
-(** How many times log [i]'s breaker has tripped. *)
 
 val set_online : t -> int -> bool -> unit
 (** Availability simulation: mark log [i] up or down (administratively —

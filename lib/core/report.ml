@@ -206,9 +206,6 @@ let run ?(auths = 6) ~(seed : string) () : result =
     (Printf.sprintf "  flight recorder: %d incident dump(s)\n" incidents);
   let audit_resp = Log_service.audit_with_head log ~client_id:"report-user" ~token:"pw" in
   Buffer.add_string buf
-    (Printf.sprintf "  audit chain len=%d head=%s\n" audit_resp.Log_service.chain_len
-       (hex audit_resp.Log_service.chain_head));
-  Buffer.add_string buf
     (Printf.sprintf "  merkle head size=%d root=%s\n"
        audit_resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
        (hex audit_resp.Log_service.sth.Larch_merkle.Merkle.Sth.root));

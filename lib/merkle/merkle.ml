@@ -1,10 +1,11 @@
 (* RFC 6962-style append-only Merkle tree over log records.
 
-   The log service keeps one tree per client alongside the record hash
-   chain; the tree buys O(log n) audits.  Leaves are the canonical record
-   encodings ({!Record.encode}), hashed with the usual CT domain
-   separation: leaf = H(0x00 ‖ data), node = H(0x01 ‖ left ‖ right), so a
-   leaf hash can never collide with an interior node.
+   The log service keeps one tree per client: its only tamper-evidence
+   structure (rollback, rewrite and fork detection) and the source of
+   O(log n) audits.  Leaves are the canonical record encodings
+   ({!Record.encode}), hashed with the usual CT domain separation:
+   leaf = H(0x00 ‖ data), node = H(0x01 ‖ left ‖ right), so a leaf hash
+   can never collide with an interior node.
 
    The tree caches every *complete* subtree hash (level l, index i covers
    leaves [i·2^l, (i+1)·2^l)): an append fills in the subtrees it

@@ -4,7 +4,7 @@
    a valid record from a torn or rotted tail.  CRC-32 rather than a
    cryptographic hash: the store defends against *accidents* (torn writes,
    bit rot), not adversarial tampering — integrity against an adversary is
-   the per-client record hash chain's job, one layer up. *)
+   the per-client RFC 6962 Merkle tree's job, one layer up. *)
 
 let table : int array Lazy.t =
   lazy

@@ -12,7 +12,7 @@
      double-consumed, no record double-appended);
 
    - seeded-storm determinism: the same seed replays the same world
-     byte for byte (outcomes, channel meters, record chain, event
+     byte for byte (outcomes, channel meters, Merkle head, event
      stream);
 
    - the multilog availability matrix (n ∈ {3,5}): every online subset
@@ -372,8 +372,9 @@ let transcript ~run_tag ~auths : string =
        snap.Channel.msgs snap.Channel.rts);
   let resp = Log_service.audit_with_head log ~client_id:"alice" ~token:"pw" in
   Buffer.add_string buf
-    (Printf.sprintf "chain len=%d head=%s\n" resp.Log_service.chain_len
-       (Larch_util.Hex.encode resp.Log_service.chain_head));
+    (Printf.sprintf "merkle head size=%d root=%s\n"
+       resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
+       (Larch_util.Hex.encode resp.Log_service.sth.Larch_merkle.Merkle.Sth.root));
   let st = Transport.stats client.Client.transport in
   Buffer.add_string buf
     (Printf.sprintf "stats a=%d r=%d t=%d f=%d p=%d\n" st.Transport.attempts st.Transport.retries

@@ -8,8 +8,9 @@
      size up to 512; consistency proofs compose across random size
      pairs; any single flipped byte in a leaf or proof is rejected;
    - signed tree heads: client binding and signature tamper rejection;
-   - the client under a lying log: rollback, rewrite, and a two-headed
-     (chain says one history, tree says another) equivocating fixture;
+   - the client under a lying log: rollback, rewrite, fork, and a
+     two-headed (records say one history, the signed head another)
+     equivocating fixture — none of which advances the verified view;
    - incremental audits: the delta fast path only downloads new records
      and the verified view advances;
    - per-auth attestations: a log that acks without storing (or stores
@@ -158,6 +159,17 @@ let mk_world (tag : string) =
 
 let auth (c : Client.t) = ignore (Client.authenticate_password c ~rp_name:"a.com")
 
+(* A lying log's audit fails with an error naming the log, and the
+   client's verified view (signed head and audited records) stays put. *)
+let caught (what : string) (c : Client.t) =
+  let sth = c.Client.last_sth and audited = c.Client.audited in
+  match Client.audit_verified c with
+  | Error msg ->
+      Alcotest.(check bool) (what ^ " named") true (String.sub msg 0 3 = "log");
+      Alcotest.(check bool) "view did not advance" true
+        (c.Client.last_sth == sth && c.Client.audited == audited)
+  | Ok _ -> Alcotest.failf "%s not detected" what
+
 let incremental_audit_fast_path () =
   let _log, c = mk_world "incremental" in
   auth c;
@@ -186,17 +198,14 @@ let rollback_detected () =
   Clock.advance 10.;
   auth c;
   (match Client.audit_verified c with Ok _ -> () | Error e -> Alcotest.fail e);
-  (* the log silently drops the newest record and re-derives everything
-     (chain AND tree) for the shortened history *)
+  (* the log silently drops the newest record and re-derives the tree
+     for the shortened history *)
   let cs = Log_service.get_client log "alice" in
   (match cs.Log_service.records with
   | _ :: rest -> cs.Log_service.records <- rest
   | [] -> Alcotest.fail "no records");
   Log_state.rebuild_derived cs;
-  match Client.audit_verified c with
-  | Error msg ->
-      Alcotest.(check bool) "rollback named" true (String.sub msg 0 3 = "log")
-  | Ok _ -> Alcotest.fail "rollback not detected"
+  caught "rollback" c
 
 let rewrite_detected () =
   let log, c = mk_world "rewrite" in
@@ -205,17 +214,15 @@ let rewrite_detected () =
   auth c;
   (match Client.audit_verified c with Ok _ -> () | Error e -> Alcotest.fail e);
   (* the log rewrites an already-audited record in place, fully
-     re-deriving chain and tree — only the client's memory of the old
-     head can catch it *)
+     re-deriving the tree — only the client's memory of the old head can
+     catch it *)
   let cs = Log_service.get_client log "alice" in
   cs.Log_service.records <-
     List.mapi
       (fun i (r : Record.t) -> if i = 1 then { r with Record.ip = "6.6.6.6" } else r)
       cs.Log_service.records;
   Log_state.rebuild_derived cs;
-  match Client.audit_verified c with
-  | Error msg -> Alcotest.(check bool) "rewrite named" true (String.sub msg 0 3 = "log")
-  | Ok _ -> Alcotest.fail "rewrite not detected"
+  caught "rewrite" c
 
 let fork_after_audit_detected () =
   let log, c = mk_world "fork" in
@@ -229,18 +236,16 @@ let fork_after_audit_detected () =
   cs.Log_service.records <-
     List.map (fun (r : Record.t) -> { r with Record.ip = "6.6.6.6" }) cs.Log_service.records;
   Log_state.rebuild_derived cs;
-  match Client.audit_verified c with
-  | Error msg -> Alcotest.(check bool) "fork named" true (String.sub msg 0 3 = "log")
-  | Ok _ -> Alcotest.fail "fork not detected"
+  caught "fork" c
 
 let equivocating_two_headed_log () =
   let log, c = mk_world "two-headed" in
   auth c;
   Clock.advance 10.;
   auth c;
-  (* two-headed fixture: the hash chain honestly describes the stored
-     records, but the Merkle tree answers for a different history — the
-     log is telling chain-auditors one story and tree-auditors another *)
+  (* two-headed fixture: the log serves the stored records honestly, but
+     its signed tree head answers for a different history — the log is
+     telling record-downloaders one story and proof-checkers another *)
   let cs = Log_service.get_client log "alice" in
   cs.Log_service.tree <- Tree.of_leaves [ "forged-history-record" ];
   (match Client.audit_verified c with
@@ -295,7 +300,7 @@ let ack_without_storing_detected () =
   auth c;
   (match Client.audit_verified c with Ok _ -> () | Error e -> Alcotest.fail e);
   (* the log un-stores two audited records and re-derives a perfectly
-     self-consistent chain+tree for the shortened history; the next
+     self-consistent tree for the shortened history; the next
      auth's signed head covers fewer leaves than the client already
      audited, so the attestation is rejected at authentication time —
      before any audit runs *)

@@ -17,7 +17,7 @@
    - property: for a seeded workload killed at ANY WAL byte offset,
      recovery lands exactly on the floor record boundary (records are
      atomically present-or-absent) and every fsck invariant holds —
-     including across [prune_records] chain truncation. *)
+     including across [prune_records] history truncation. *)
 
 open Larch_core
 module Disk = Larch_store.Disk
@@ -220,10 +220,9 @@ let service_restart_is_genuine_kill () =
   let a = Log_service.audit_with_head log ~client_id:"alice" ~token:"pw" in
   Log_service.restart log;
   let a' = Log_service.audit_with_head log ~client_id:"alice" ~token:"pw" in
-  Alcotest.(check int) "chain length survives the kill" a.Log_service.chain_len
-    a'.Log_service.chain_len;
-  Alcotest.(check bool) "chain head survives the kill" true
-    (a.Log_service.chain_head = a'.Log_service.chain_head);
+  Alcotest.(check int) "tree size survives the kill"
+    a.Log_service.sth.Larch_merkle.Merkle.Sth.size
+    a'.Log_service.sth.Larch_merkle.Merkle.Sth.size;
   Alcotest.(check int) "records survive the kill"
     (List.length a.Log_service.records)
     (List.length a'.Log_service.records);
@@ -237,9 +236,9 @@ let service_restart_is_genuine_kill () =
   Clock.advance 30.;
   ignore (Client.authenticate_password client ~rp_name:"rp.example");
   let a'' = Log_service.audit_with_head log ~client_id:"alice" ~token:"pw" in
-  Alcotest.(check int) "post-recovery auths append to the chain"
-    (a.Log_service.chain_len + 2)
-    a''.Log_service.chain_len;
+  Alcotest.(check int) "post-recovery auths append to the tree"
+    (a.Log_service.sth.Larch_merkle.Merkle.Sth.size + 2)
+    a''.Log_service.sth.Larch_merkle.Merkle.Sth.size;
   match Log_service.fsck log with
   | Some fr -> Alcotest.(check (list string)) "fsck clean after kill + reuse" [] fr.Log_persist.issues
   | None -> Alcotest.fail "store-backed log must offer fsck"
@@ -338,8 +337,8 @@ let lru_restart_clears () =
 (* One seeded workload, killed at an arbitrary WAL byte offset: recovery
    must land exactly on the floor record boundary — the partial record (if
    any) vanishes, everything before it survives — and the recovered state
-   passes every fsck invariant (hash-chain continuity and cursor
-   monotonicity, including across the prune that truncates the chain). *)
+   passes every fsck invariant (tree-matches-records and cursor
+   monotonicity, including across the prune that truncates the history). *)
 let atomicity_world =
   lazy
     (with_clock @@ fun () ->

@@ -14,8 +14,8 @@
    - after calming the link: resync succeeds, the client's and the
      log's presignature cursors agree (no presignature double-consumed,
      none lost), and the full audit chain verifies for every session;
-   - Log_persist.fsck with the live state as oracle: per-client record
-     hash chains continuous, WAL replay byte-matches live state,
+   - Log_persist.fsck with the live state as oracle: per-client Merkle
+     trees match their records, WAL replay byte-matches live state,
      structural store checks clean;
    - the whole world replays byte-for-byte from its seed alone.
 
@@ -172,7 +172,7 @@ let run_world ~(entropy : string) ~(profile : Fault.profile) : world =
           | exception e -> violate "session died untyped: %s" (Printexc.to_string e))
         fibers;
       Log_async.stop la);
-  (* store oracle: structural checks, chain continuity, presignature
+  (* store oracle: structural checks, tree-vs-records, presignature
      cursor monotonicity, and WAL-replay-vs-live byte match *)
   (match Log_service.fsck log with
   | None -> violate "no persist layer attached"

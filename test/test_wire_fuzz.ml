@@ -274,8 +274,6 @@ let audit_response_roundtrip =
         {
           Log_service.records;
           since;
-          chain_head = rand 32;
-          chain_len = since + nrecs;
           sth = mk_sth ~size:(since + nrecs);
           consistency = List.init 3 (fun _ -> rand 32);
           proofs = List.map (fun _ -> List.init 4 (fun _ -> rand 32)) records;
@@ -368,8 +366,6 @@ let audit_response_mutation () =
     {
       Log_service.records;
       since = 2;
-      chain_head = rand 32;
-      chain_len = 5;
       sth = mk_sth ~size:5;
       consistency = List.init 3 (fun _ -> rand 32);
       proofs = List.map (fun _ -> List.init 3 (fun _ -> rand 32)) records;
