@@ -28,6 +28,27 @@ let tests () =
   let key = rand 32 and nonce = rand 12 in
   let aes_ks = Larch_cipher.Aes.expand_key (rand 16) in
   let block16 = rand 16 in
+  let msm n =
+    Array.init n (fun _ ->
+        ( Larch_ec.P256.Scalar.random ~rand_bytes:rand,
+          Larch_ec.Point.mul_base (Larch_ec.P256.Scalar.random_nonzero ~rand_bytes:rand) ))
+  in
+  let msm8 = msm 8 and msm128 = msm 128 in
+  (* one GK15 proof over 8 commitments, as in a password login at 8
+     relying parties: the prover's key carries log_g h, the verifier's not *)
+  let log_h = Larch_ec.P256.Scalar.random_nonzero ~rand_bytes:rand in
+  let h = Larch_ec.Point.mul_base log_h in
+  let opening = Larch_ec.P256.Scalar.random_nonzero ~rand_bytes:rand in
+  let commitments =
+    Larch_ec.Point.normalize_batch
+      (Array.init 8 (fun i -> if i = 5 then Larch_ec.Point.mul opening h else snd msm8.(i)))
+  in
+  let gk_prove () =
+    Larch_sigma.Gk15.prove ~key:(Larch_sigma.Pedersen.make_trapdoor ~h ~log_h) ~commitments
+      ~index:5 ~opening ~tag:"micro" ~rand_bytes:rand
+  in
+  let gk_proof = gk_prove () in
+  let gk_key = Larch_sigma.Pedersen.make ~h in
   [
     Test.make ~name:"sha256/64B" (Staged.stage (fun () -> Larch_hash.Sha256.digest msg64));
     Test.make ~name:"hmac-sha256/64B" (Staged.stage (fun () -> Larch_hash.Hmac.sha256 ~key msg64));
@@ -38,6 +59,12 @@ let tests () =
     Test.make ~name:"p256/point-add" (Staged.stage (fun () -> Larch_ec.Point.add p q));
     Test.make ~name:"p256/point-mul" (Staged.stage (fun () -> Larch_ec.Point.mul scalar2 p));
     Test.make ~name:"p256/mul-base" (Staged.stage (fun () -> Larch_ec.Point.mul_base scalar));
+    Test.make ~name:"p256/multi-mul-8" (Staged.stage (fun () -> Larch_ec.Point.multi_mul msm8));
+    Test.make ~name:"p256/multi-mul-128" (Staged.stage (fun () -> Larch_ec.Point.multi_mul msm128));
+    Test.make ~name:"gk15/prove-8" (Staged.stage gk_prove);
+    Test.make ~name:"gk15/verify-8"
+      (Staged.stage (fun () ->
+           Larch_sigma.Gk15.verify ~key:gk_key ~commitments ~tag:"micro" gk_proof));
     Test.make ~name:"ecdsa/sign" (Staged.stage (fun () -> Larch_ec.Ecdsa.sign ~sk:scalar "m"));
     Test.make ~name:"ecdsa/verify" (Staged.stage (fun () -> Larch_ec.Ecdsa.verify ~pk "m" sg));
   ]

@@ -375,7 +375,7 @@ let fido2_session (t : t) ~(rp_name : string) ~(challenge : string) :
   let ct_nonce = t.rand 12 in
   let ct = Larch_cipher.Ctr.sha_ctr ~key:f.fk ~nonce:ct_nonce rp_hash in
   (* even_r: the log's admission loop batch-verifies record signatures
-     with one Pippenger pass, which needs the nonce point recoverable
+     with one multi-scalar sum, which needs the nonce point recoverable
      from r without a parity search (see Ecdsa.verify_batch) *)
   let record_sig =
     Larch_ec.Ecdsa.encode (Larch_ec.Ecdsa.sign ~even_r:true ~sk:f.record_sk (ct_nonce ^ ct))

@@ -266,7 +266,7 @@ let brownout_tick t =
 (* --- batch signature pre-verification (unchanged from PR 9) ----------- *)
 
 (* Batch-verify every fido2.auth_begin record signature in the batch
-   with one Pippenger pass; deposit skip tokens for the valid ones.
+   with one multi-scalar sum; deposit skip tokens for the valid ones.
    Anything undecodable or unknown is left for the individual path. *)
 let preverify_fido2 t (batch : item list) =
   let candidates =

@@ -451,7 +451,7 @@ let fido2_auth_begin ?(domains = 1) (t : t) ~(client_id : string) ~(ip : string)
   (match Larch_ec.Ecdsa.decode req.Fido2_protocol.record_sig with
   | Some sg ->
       (* one-shot skip token if the admission loop already verified this
-         exact signature inside a batched Pippenger pass *)
+         exact signature inside a batched multi-scalar sum *)
       let pk = preverify_key ~client_id ~ct_nonce:req.Fido2_protocol.ct_nonce
           ~ct:req.Fido2_protocol.ct ~record_sig:req.Fido2_protocol.record_sig
       in
@@ -812,7 +812,7 @@ let pw_auth (t : t) ~(client_id : string) ~(ip : string) ~(now : float)
         "exponentiation released, elgamal record stored";
       let proof =
         Larch_sigma.Dleq.prove ~base1:Point.g ~base2:req.Password_protocol.ct.Larch_ec.Elgamal.c2
-          ~secret:s.k ~tag:"larch-pw-log" ~rand_bytes:t.rand
+          ~public1:s.k_pub ~public2:y ~secret:s.k ~tag:"larch-pw-log" ~rand_bytes:t.rand
       in
       let att = attest t ~client_id c ~index:(Merkle.Tree.size c.tree - 1) in
       (y, proof, att)

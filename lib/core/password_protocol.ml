@@ -103,27 +103,38 @@ type auth_request = {
   pi2 : Gk15.proof; (* h_i = c1^x for the same set *)
 }
 
-(* h_i = c2 / Hash(id_i), shared by prover and verifier. *)
+(* h_i = c2 / Hash(id_i), shared by prover and verifier (and by π₁ and π₂),
+   batch-normalised so the transcripts absorb them without inversions. *)
 let commitment_set ~(c2 : Point.t) ~(ids : string list) : Point.t array =
-  Array.of_list (List.map (fun id -> Point.sub c2 (Larch_ec.Hash_to_curve.hash id)) ids)
+  Point.normalize_batch
+    (Array.of_list (List.map (fun id -> Point.sub c2 (Larch_ec.Hash_to_curve.hash id)) ids))
 
+(* The client knows the discrete log of both proofs' second generator — x
+   for X, r for c₁ — so its Pedersen keys carry it, and c₂ = Hash(id)·g^(rx)
+   is one base-point multiplication. *)
 let client_auth ~(idx : int) ~(x : Scalar.t) ~(ids : string list)
     ~(rand_bytes : int -> string) : Scalar.t * auth_request =
   Larch_obs.Trace.with_span "pw.client.prove" @@ fun () ->
   Larch_obs.Trace.add_int "n_ids" (List.length ids);
   let n = List.length ids in
   if idx < 0 || idx >= n then invalid_arg "Password_protocol.client_auth: bad index";
-  let x_pub = Point.mul_base x in
   let r = Scalar.random_nonzero ~rand_bytes in
-  let c1 = Point.mul_base r in
-  let c2 = Point.add (Larch_ec.Hash_to_curve.hash (List.nth ids idx)) (Point.mul r x_pub) in
+  let x_pub, c1, c2 =
+    match
+      Point.normalize_batch
+        [| Point.mul_base x; Point.mul_base r;
+           Point.add (Larch_ec.Hash_to_curve.hash (List.nth ids idx)) (Point.mul_base (Scalar.mul r x)) |]
+    with
+    | [| x_pub; c1; c2 |] -> (x_pub, c1, c2)
+    | _ -> assert false
+  in
   let hs = commitment_set ~c2 ~ids in
   let pi1 =
-    Gk15.prove ~key:(Pedersen.make ~h:x_pub) ~commitments:hs ~index:idx ~opening:r
+    Gk15.prove ~key:(Pedersen.make_trapdoor ~h:x_pub ~log_h:x) ~commitments:hs ~index:idx ~opening:r
       ~tag:"larch-pw-pi1" ~rand_bytes
   in
   let pi2 =
-    Gk15.prove ~key:(Pedersen.make ~h:c1) ~commitments:hs ~index:idx ~opening:x
+    Gk15.prove ~key:(Pedersen.make_trapdoor ~h:c1 ~log_h:r) ~commitments:hs ~index:idx ~opening:x
       ~tag:"larch-pw-pi2" ~rand_bytes
   in
   (r, { ct = { Larch_ec.Elgamal.c1; c2 }; pi1; pi2 })
@@ -135,15 +146,13 @@ let log_auth ~(log_sk : Scalar.t) ~(client_pub : Point.t) ~(ids : string list)
   Larch_obs.Trace.with_span "pw.log.verify" @@ fun () ->
   Larch_obs.Trace.add_int "n_ids" (List.length ids);
   let hs = commitment_set ~c2:req.ct.Larch_ec.Elgamal.c2 ~ids in
-  let ok1 =
+  let ok =
     Gk15.verify ~key:(Pedersen.make ~h:client_pub) ~commitments:hs ~tag:"larch-pw-pi1" req.pi1
+    && Gk15.verify
+         ~key:(Pedersen.make ~h:req.ct.Larch_ec.Elgamal.c1)
+         ~commitments:hs ~tag:"larch-pw-pi2" req.pi2
   in
-  let ok2 =
-    Gk15.verify
-      ~key:(Pedersen.make ~h:req.ct.Larch_ec.Elgamal.c1)
-      ~commitments:hs ~tag:"larch-pw-pi2" req.pi2
-  in
-  if ok1 && ok2 then Some (Point.mul log_sk req.ct.Larch_ec.Elgamal.c2) else None
+  if ok then Some (Point.mul log_sk req.ct.Larch_ec.Elgamal.c2) else None
 
 (* pw = k_id · y · K^(-x·r). *)
 let finish_auth ~(x : Scalar.t) ~(log_pub : Point.t) ~(r : Scalar.t) ~(k_id : Point.t)

@@ -30,7 +30,7 @@ let verify ~(pk : Point.t) ~(digest : string) (sg : signature) : bool =
    — unlike ECDSA — the textbook random-linear-combination check applies
    directly.  With per-item weights aᵢ from a DRBG keyed on the batch:
        (Σᵢ aᵢ·sᵢ) · G  −  Σᵢ aᵢ · Rᵢ  −  Σᵢ (aᵢ·cᵢ) · pkᵢ  =  O,
-   one Pippenger multi-exponentiation for the whole batch.  On failure
+   one multi-scalar sum ([Point.multi_mul]) for the whole batch.  On failure
    each signature is re-checked individually, so the accept set is
    exactly {!verify}'s. *)
 let verify_batch (items : (Point.t * string * signature) list) : bool array =

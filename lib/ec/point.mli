@@ -19,7 +19,14 @@ val g : t
 (** The standard base point. *)
 
 val to_affine : t -> (Fe.t * Fe.t) option
-(** [None] for the point at infinity.  Costs one field inversion. *)
+(** [None] for the point at infinity.  Costs one field inversion unless the
+    point is already affine (Z = 1). *)
+
+val normalize_batch : t array -> t array
+(** The same points with Z = 1 (infinity stays infinity), for one field
+    inversion in total (Montgomery's trick) instead of one per point: so
+    the {!encode}s, transcript absorbs and {!to_affine}s that follow cost no
+    inversion. *)
 
 val equal : t -> t -> bool
 (** Projective-coordinate-independent equality (no inversion). *)
@@ -42,9 +49,12 @@ val mul_add : Scalar.t -> Scalar.t -> t -> t
     verification (u1·G + u2·Q). *)
 
 val multi_mul : (Scalar.t * t) array -> t
-(** Pippenger multi-scalar multiplication: Σᵢ kᵢ·Pᵢ.  The workhorse of
-    Groth–Kohlweiss proving/verification (O(n) group work at hundreds of
-    relying parties). *)
+(** Σᵢ kᵢ·Pᵢ, exact for every input (zero scalars, infinity, repeated or
+    opposite bases).  Straus's interleaved width-5 wNAF on one shared
+    doubling chain up to {!multi_mul_crossover} variable-base terms,
+    Pippenger's buckets above; terms whose base is (physically) {!g} fold
+    into one lane on the cached table.  The workhorse of Groth–Kohlweiss
+    proving and verification. *)
 
 val is_on_curve : t -> bool
 
@@ -73,6 +83,10 @@ val random : rand_bytes:(int -> string) -> Scalar.t * t
 val pp : Format.formatter -> t -> unit
 
 (**/**)
+
+val multi_mul_crossover : int
+(** The largest count of variable-base terms {!multi_mul} sums with
+    Straus; above it, Pippenger. *)
 
 val base_table_builds : unit -> int
 (** How many times the cached base-point tables have been constructed;

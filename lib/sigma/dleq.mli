@@ -12,10 +12,16 @@ type proof = { a1 : Point.t; a2 : Point.t; z : Scalar.t }
 val prove :
   base1:Point.t ->
   base2:Point.t ->
+  public1:Point.t ->
+  public2:Point.t ->
   secret:Scalar.t ->
   tag:string ->
   rand_bytes:(int -> string) ->
   proof
+(** Requires public1 = base1^secret and public2 = base2^secret (the prover
+    already holds both; a wrong pair yields a proof that does not verify).
+    One fresh nonce; a base that is physically [Point.g] takes
+    [Point.mul_base]. *)
 
 val verify :
   base1:Point.t ->
@@ -25,6 +31,8 @@ val verify :
   tag:string ->
   proof ->
   bool
+(** Two exact multi-scalar sums, a₁ + c·Y₁ − z·b₁ = ∞ and the same for
+    b₂. *)
 
 val encode : proof -> string
 val decode : string -> proof option

@@ -8,8 +8,17 @@
    authentication with h = X (the client's ElGamal public key) and h = c₁,
    over c_i = c₂ / Hash(id_i), to show the ciphertext encrypts one of the
    registered relying-party identifiers.  Proof size is O(log N); prover
-   and verifier are O(N) group operations (via Pippenger multi-exponen-
-   tiation in [Point.multi_mul]). *)
+   and verifier are O(N) group operations.
+
+   Group arithmetic.  The prover's key carries log_g h, so each of its 3m
+   commitments is one [Point.mul_base], and each c_d's ρ·h term joins its
+   multi-scalar sum as a g term.  The verifier checks each of its 2m+1
+   equations as one exact sum [Point.multi_mul [...] = infinity]: Straus
+   interleaving at these sizes (n + m + 1 terms for the last equation),
+   Pippenger only past [Point.multi_mul_crossover].  No random weights, so
+   the accept set is exactly that of checking each equation on its own.
+   The 4m proof points are batch-normalised (one field inversion) before
+   they are absorbed and encoded. *)
 
 open Larch_bignum
 module Point = Larch_ec.Point
@@ -57,7 +66,7 @@ let poly_mul (p : Scalar.t array) (q : Scalar.t array) : Scalar.t array =
 
 let transcript_init ~(tag : string) ~(key : Pedersen.key) (cs : Point.t array) : Transcript.t =
   let t = Transcript.create ("gk15" ^ tag) in
-  Transcript.absorb_point t ~label:"g" key.Pedersen.g;
+  Transcript.absorb_point t ~label:"g" Point.g;
   Transcript.absorb_point t ~label:"h" key.Pedersen.h;
   Array.iter (Transcript.absorb_point t ~label:"c") cs;
   t
@@ -70,10 +79,13 @@ let absorb_round (t : Transcript.t) (p : proof) : unit =
 
 let prove ~(key : Pedersen.key) ~(commitments : Point.t array) ~(index : int)
     ~(opening : Scalar.t) ~(tag : string) ~(rand_bytes : int -> string) : proof =
+  if Array.length commitments = 0 then invalid_arg "Gk15.prove: empty commitment set";
+  if index < 0 || index >= Array.length commitments then invalid_arg "Gk15.prove: bad index";
   let cs = pad commitments in
   let n = Array.length cs in
   let m = log2 n in
-  if index < 0 || index >= Array.length commitments then invalid_arg "Gk15.prove: bad index";
+  Larch_obs.Trace.with_span "gk15.prove" @@ fun () ->
+  Larch_obs.Trace.add_int "n" n;
   let bit j = (index lsr j) land 1 in
   let rnd () = Scalar.random ~rand_bytes in
   let r_j = Array.init m (fun _ -> rnd ()) in
@@ -101,17 +113,22 @@ let prove ~(key : Pedersen.key) ~(commitments : Point.t array) ~(index : int)
         done;
         !p)
   in
+  (* c_d_k = Σ_i coeff_{i,k}·c_i + ρ_k·h, the h term as a g term when the
+     key carries log_g h *)
+  let rho_term k =
+    match key.Pedersen.log_h with
+    | Some t -> (Scalar.mul t rho.(k), Point.g)
+    | None -> (rho.(k), key.Pedersen.h)
+  in
   let c_d =
     Array.init m (fun k ->
-        let pairs =
-          Array.of_list
-            (List.filteri (fun _ (e, _) -> not (Nat.is_zero e))
-               (List.init n (fun i -> (coeffs.(i).(k), cs.(i)))))
-        in
-        Point.add (Point.multi_mul pairs) (Pedersen.commit key ~msg:Scalar.zero ~rand:rho.(k)))
+        Point.multi_mul (Array.append (Array.init n (fun i -> (coeffs.(i).(k), cs.(i)))) [| rho_term k |]))
   in
+  let pts = Point.normalize_batch (Array.concat [ c_l; c_a; c_b; c_d ]) in
+  let part i = Array.sub pts (i * m) m in
   let partial =
-    { n; c_l; c_a; c_b; c_d; f = [||]; z_a = [||]; z_b = [||]; z_d = Scalar.zero }
+    { n; c_l = part 0; c_a = part 1; c_b = part 2; c_d = part 3; f = [||]; z_a = [||]; z_b = [||];
+      z_d = Scalar.zero }
   in
   let t = transcript_init ~tag ~key cs in
   absorb_round t partial;
@@ -130,11 +147,20 @@ let prove ~(key : Pedersen.key) ~(commitments : Point.t array) ~(index : int)
   let z_d = Scalar.sub (Scalar.mul opening xi_pow.(m)) !sum_rho in
   { partial with f; z_a; z_b; z_d }
 
+(* Each equation is checked as Σ kᵢ·Pᵢ = infinity, with the lone point that
+   the paper's form has on one side moved over at coefficient +1:
+     xi·c_l_j + c_a_j − f_j·g − z_a_j·h = ∞                      (m of these)
+     (xi − f_j)·c_l_j + c_b_j − z_b_j·h = ∞                        (m of these)
+     Σ_i w_i·c_i − Σ_k xi^k·c_d_k − z_d·h = ∞,  w_i = Π_j (i_j ? f_j : xi − f_j) *)
 let verify ~(key : Pedersen.key) ~(commitments : Point.t array) ~(tag : string) (p : proof) :
     bool =
+  Array.length commitments > 0
+  &&
   let cs = pad commitments in
   let n = Array.length cs in
   let m = log2 n in
+  Larch_obs.Trace.with_span "gk15.verify" @@ fun () ->
+  Larch_obs.Trace.add_int "n" n;
   if p.n <> n || Array.length p.c_l <> m || Array.length p.c_a <> m || Array.length p.c_b <> m
      || Array.length p.c_d <> m || Array.length p.f <> m || Array.length p.z_a <> m
      || Array.length p.z_b <> m
@@ -143,27 +169,19 @@ let verify ~(key : Pedersen.key) ~(commitments : Point.t array) ~(tag : string) 
     let t = transcript_init ~tag ~key cs in
     absorb_round t p;
     let xi = Transcript.challenge_scalar t ~label:"xi" in
-    let eq1 =
-      Array.for_all
-        (fun j ->
-          Point.equal
-            (Point.add (Point.mul xi p.c_l.(j)) p.c_a.(j))
-            (Pedersen.commit key ~msg:p.f.(j) ~rand:p.z_a.(j)))
-        (Array.init m (fun j -> j))
+    let h = key.Pedersen.h in
+    let vanishes terms = Point.is_infinity (Point.multi_mul terms) in
+    let eq1 j =
+      vanishes
+        [| (xi, p.c_l.(j)); (Scalar.one, p.c_a.(j)); (Scalar.neg p.f.(j), Point.g);
+           (Scalar.neg p.z_a.(j), h) |]
     in
-    let eq2 =
-      Array.for_all
-        (fun j ->
-          Point.equal
-            (Point.add (Point.mul (Scalar.sub xi p.f.(j)) p.c_l.(j)) p.c_b.(j))
-            (Pedersen.commit key ~msg:Scalar.zero ~rand:p.z_b.(j)))
-        (Array.init m (fun j -> j))
+    let eq2 j =
+      vanishes [| (Scalar.sub xi p.f.(j), p.c_l.(j)); (Scalar.one, p.c_b.(j)); (Scalar.neg p.z_b.(j), h) |]
     in
-    if not (eq1 && eq2) then false
-    else begin
-      (* w_i = prod_j (i_j = 1 ? f_j : xi - f_j) *)
+    let eq3 () =
       let xi_minus_f = Array.map (fun fj -> Scalar.sub xi fj) p.f in
-      let pairs_c =
+      let terms_c =
         Array.init n (fun i ->
             let w = ref Scalar.one in
             for j = 0 to m - 1 do
@@ -171,14 +189,17 @@ let verify ~(key : Pedersen.key) ~(commitments : Point.t array) ~(tag : string) 
             done;
             (!w, cs.(i)))
       in
-      let xi_pow = Array.make m Scalar.one in
-      for k = 1 to m - 1 do
-        xi_pow.(k) <- Scalar.mul xi_pow.(k - 1) xi
-      done;
-      let pairs_d = Array.init m (fun k -> (Scalar.neg xi_pow.(k), p.c_d.(k))) in
-      let lhs = Point.multi_mul (Array.append pairs_c pairs_d) in
-      Point.equal lhs (Pedersen.commit key ~msg:Scalar.zero ~rand:p.z_d)
-    end
+      let xi_pow = ref Scalar.one in
+      let terms_d =
+        Array.init m (fun k ->
+            let term = (Scalar.neg !xi_pow, p.c_d.(k)) in
+            xi_pow := Scalar.mul !xi_pow xi;
+            term)
+      in
+      vanishes (Array.concat [ terms_c; terms_d; [| (Scalar.neg p.z_d, h) |] ])
+    in
+    let rec all j eq = j >= m || (eq j && all (j + 1) eq) in
+    all 0 eq1 && all 0 eq2 && eq3 ()
   end
 
 (* --- serialization --- *)

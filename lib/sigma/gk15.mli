@@ -34,9 +34,15 @@ val prove :
   proof
 (** Requires [commitments.(index) = key.h ^ opening].  The set is padded to
     a power of two by repeating the last element; [tag] domain-separates the
-    Fiat–Shamir challenge. *)
+    Fiat–Shamir challenge.  A key with a trapdoor
+    ({!Pedersen.make_trapdoor}) gives the same proof bytes, faster.  Traced
+    as [gk15.prove] with attribute [n] (the padded size).
+    @raise Invalid_argument on an empty set or an index outside it *)
 
 val verify : key:Pedersen.key -> commitments:Point.t array -> tag:string -> proof -> bool
+(** Checks each of the 2m+1 verification equations as one exact
+    multi-scalar sum (no random weights).  [false] on an empty set.  Traced
+    as [gk15.verify] with attribute [n]. *)
 
 val encode : proof -> string
 val decode : string -> proof option

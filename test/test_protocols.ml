@@ -204,6 +204,23 @@ let embed_limits () =
     (Invalid_argument "Password_protocol.embed_password: too long") (fun () ->
       ignore (Password_protocol.embed_password (String.make 29 'x')))
 
+(* A password login against a log that holds no registered ids must be
+   the typed rejection, not an exception out of the proof verifier. *)
+let pw_auth_without_ids () =
+  Larch_util.Clock.set 1_000.;
+  let log = Log_service.create ~rand_bytes:rand () in
+  let c = Client.create ~client_id:"noids" ~account_password:"pw" ~log ~rand_bytes:rand () in
+  Client.enroll ~presignature_count:1 c;
+  Alcotest.(check (list string)) "no ids" [] (Log_service.pw_registered_ids log ~client_id:"noids");
+  let s = Client.pw_side c in
+  let _, req =
+    Password_protocol.client_auth ~idx:0 ~x:s.Client.x ~ids:[ "never registered" ] ~rand_bytes:rand
+  in
+  match Log_service.pw_auth log ~client_id:"noids" ~ip:"192.0.2.9" ~now:1_000. req with
+  | exception Types.Protocol_error msg ->
+      Alcotest.(check string) "typed rejection" "one-out-of-many proof rejected" msg
+  | _ -> Alcotest.fail "accepted a login with no registered ids"
+
 (* --- operational odds and ends --- *)
 
 let prune_and_unregister () =
@@ -371,6 +388,7 @@ let () =
         [
           Alcotest.test_case "embed limits" `Quick embed_limits;
           Alcotest.test_case "prune + totp unregister" `Quick prune_and_unregister;
+          Alcotest.test_case "password login with no ids" `Quick pw_auth_without_ids;
           Alcotest.test_case "audit chain rollback" `Quick audit_chain_detects_rollback;
           Alcotest.test_case "audit chain after prune" `Quick pruned_chain_stays_consistent;
           Alcotest.test_case "gk15 size logarithmic" `Quick gk15_proof_size_logarithmic;
