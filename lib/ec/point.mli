@@ -37,7 +37,8 @@ val neg : t -> t
 val sub : t -> t -> t
 
 val mul : Scalar.t -> t -> t
-(** Variable-point scalar multiplication (width-5 wNAF). *)
+(** Variable-point scalar multiplication (width-5 wNAF); the comb of
+    {!mul_base} when the point is physically {!g}. *)
 
 val mul_base : Scalar.t -> t
 (** Base-point multiplication via a cached comb table; ~4× faster than

@@ -18,14 +18,16 @@ let transcript ~tag ~base1 ~base2 ~public1 ~public2 ~a1 ~a2 : Scalar.t =
   Transcript.challenge_scalar t ~label:"c"
 
 (* The prover already holds both publics (the log keeps K = g^k and has
-   just computed c₂^k), so it multiplies only its nonce; a [g] base takes
-   the comb.  The six transcript points share one field inversion. *)
+   just computed c₂^k), so it multiplies only its nonce ([Point.mul] takes
+   the comb for [g]).  The six transcript points share one field
+   inversion. *)
 let prove ~(base1 : Point.t) ~(base2 : Point.t) ~(public1 : Point.t) ~(public2 : Point.t)
     ~(secret : Scalar.t) ~(tag : string) ~(rand_bytes : int -> string) : proof =
   Larch_obs.Trace.with_span "dleq.prove" @@ fun () ->
   let k = Scalar.random_nonzero ~rand_bytes in
-  let times b = if b == Point.g then Point.mul_base k else Point.mul k b in
-  match Point.normalize_batch [| base1; base2; public1; public2; times base1; times base2 |] with
+  match
+    Point.normalize_batch [| base1; base2; public1; public2; Point.mul k base1; Point.mul k base2 |]
+  with
   | [| base1; base2; public1; public2; a1; a2 |] ->
       let c = transcript ~tag ~base1 ~base2 ~public1 ~public2 ~a1 ~a2 in
       { a1; a2; z = Scalar.add k (Scalar.mul c secret) }

@@ -20,8 +20,7 @@ val prove :
   proof
 (** Requires public1 = base1^secret and public2 = base2^secret (the prover
     already holds both; a wrong pair yields a proof that does not verify).
-    One fresh nonce; a base that is physically [Point.g] takes
-    [Point.mul_base]. *)
+    One fresh nonce, two scalar multiplications. *)
 
 val verify :
   base1:Point.t ->

@@ -189,13 +189,11 @@ let verify ~(key : Pedersen.key) ~(commitments : Point.t array) ~(tag : string) 
             done;
             (!w, cs.(i)))
       in
-      let xi_pow = ref Scalar.one in
-      let terms_d =
-        Array.init m (fun k ->
-            let term = (Scalar.neg !xi_pow, p.c_d.(k)) in
-            xi_pow := Scalar.mul !xi_pow xi;
-            term)
-      in
+      let xi_pow = Array.make m Scalar.one in
+      for k = 1 to m - 1 do
+        xi_pow.(k) <- Scalar.mul xi_pow.(k - 1) xi
+      done;
+      let terms_d = Array.init m (fun k -> (Scalar.neg xi_pow.(k), p.c_d.(k))) in
       vanishes (Array.concat [ terms_c; terms_d; [| (Scalar.neg p.z_d, h) |] ])
     in
     let rec all j eq = j >= m || (eq j && all (j + 1) eq) in
