@@ -434,7 +434,7 @@ let mul_base (k : Scalar.t) : t =
 let pippenger (terms : (Scalar.t * t) array) : t =
   let n = Array.length terms in
   let s = make_scratch () in
-  let w = if n >= 256 then 6 else if n >= 32 then 5 else if n >= 8 then 4 else 2 in
+  let w = if n >= 256 then 6 else 5 (* n > multi_mul_crossover here *) in
   let nbuckets = (1 lsl w) - 1 in
   let nwindows = (256 + w - 1) / w in
   let jterms = Array.map (fun (k, p) -> (k, jac_of_point p)) terms in

@@ -59,6 +59,7 @@ let check_multi_mul name pairs =
   Alcotest.(check bool) name true (Point.equal (naive_sum pairs) (Point.multi_mul pairs))
 
 let rand_point () = Point.mul_base (Scalar.random_nonzero ~rand_bytes:rand)
+let random_pairs n = Array.init n (fun _ -> (Scalar.random ~rand_bytes:rand, rand_point ()))
 
 (* Random terms salted with the edge cases that drive the addition law's
    H = 0 branches and the algorithms' skip paths: zero scalars, the scalar
@@ -66,7 +67,7 @@ let rand_point () = Point.mul_base (Scalar.random_nonzero ~rand_bytes:rand)
    negation, and [Point.g] itself (the cached-table lane). *)
 let edgy_pairs n =
   let minus_one = Scalar.neg Scalar.one in
-  let pairs = Array.init n (fun _ -> (Scalar.random ~rand_bytes:rand, rand_point ())) in
+  let pairs = random_pairs n in
   Array.iteri
     (fun i (k, p) ->
       match i mod 9 with
@@ -83,18 +84,22 @@ let edgy_pairs n =
 
 let multi_mul_matches_naive () =
   for n = 0 to 40 do
-    check_multi_mul (Printf.sprintf "random n=%d" n)
-      (Array.init n (fun _ -> (Scalar.random ~rand_bytes:rand, rand_point ())));
+    check_multi_mul (Printf.sprintf "random n=%d" n) (random_pairs n);
     check_multi_mul (Printf.sprintf "edge cases n=%d" n) (edgy_pairs n)
   done;
   let c = Point.multi_mul_crossover in
   List.iter
-    (fun n -> check_multi_mul (Printf.sprintf "across the crossover n=%d" n) (edgy_pairs n))
-    [ c - 1; c; c + 1; c + 9 ];
+    (fun n -> check_multi_mul (Printf.sprintf "across the crossover n=%d" n) (random_pairs n))
+    [ c; c + 1 ];
+  (* a third of edgy_pairs' terms drop out (zero, infinity, g), so these
+     leave ~c + 6 and > 256 live terms: Pippenger at both window widths *)
+  List.iter
+    (fun n -> check_multi_mul (Printf.sprintf "edge cases past the crossover n=%d" n) (edgy_pairs n))
+    [ (3 * c / 2) + 9; (3 * c) + 16 ];
   (* sums that cancel exactly, on both sides of the crossover *)
   List.iter
     (fun n ->
-      let half = Array.init n (fun _ -> (Scalar.random ~rand_bytes:rand, rand_point ())) in
+      let half = random_pairs n in
       let cancel = Array.append half (Array.map (fun (k, p) -> (k, Point.neg p)) half) in
       Alcotest.(check bool) (Printf.sprintf "cancels n=%d" (2 * n)) true
         (Point.is_infinity (Point.multi_mul cancel));
