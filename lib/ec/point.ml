@@ -272,6 +272,9 @@ let wnaf_width = 5
 let wnaf_mask = (1 lsl wnaf_width) - 1
 let wnaf_half = 1 lsl (wnaf_width - 1)
 
+(* Odd digits below [wnaf_half] in magnitude: P, 3P, …, 15P. *)
+let wnaf_table = wnaf_half / 2
+
 (* Scalars are < 2^256 (enforced by Scalar/Nat invariants upstream); one
    spare limb absorbs the carry from adding a negative digit back. *)
 let wnaf_buf_limbs = 11
@@ -335,20 +338,18 @@ let wnaf_digits (k : Nat.t) : Bytes.t * int =
   done;
   (digits, !top)
 
-(* Odd multiples P, 3P, …, (2·count − 1)P as mutable Jacobian triples;
-   count = [wnaf_half] is the full wNAF table (up to 15P). *)
-let odd_multiples (s : scratch) (base : jac) ~(count : int) : jac array =
-  let tbl = Array.init count (fun _ -> jac_infinity ()) in
+(* Odd multiples P, 3P, …, 15P as mutable Jacobian triples: the wNAF
+   table. *)
+let odd_multiples (s : scratch) (base : jac) : jac array =
+  let tbl = Array.init wnaf_table (fun _ -> jac_infinity ()) in
   jac_copy tbl.(0) base;
-  if count > 1 then begin
-    let twice = jac_infinity () in
-    jac_copy twice base;
-    dbl s twice;
-    for i = 1 to count - 1 do
-      jac_copy tbl.(i) tbl.(i - 1);
-      add_assign s tbl.(i) twice
-    done
-  end;
+  let twice = jac_infinity () in
+  jac_copy twice base;
+  dbl s twice;
+  for i = 1 to wnaf_table - 1 do
+    jac_copy tbl.(i) tbl.(i - 1);
+    add_assign s tbl.(i) twice
+  done;
   tbl
 
 let apply_digit (s : scratch) (acc : jac) (tbl : jac array) (d : int) =
@@ -408,7 +409,7 @@ let g_odd_cell : jac array option Atomic.t = Atomic.make None
 
 let build_g_odd () =
   let s = make_scratch () in
-  odd_multiples s (jac_of_point g) ~count:wnaf_half
+  odd_multiples s (jac_of_point g)
 
 let mul_base (k : Scalar.t) : t =
   if Nat.is_zero k then infinity
@@ -470,26 +471,19 @@ let pippenger (terms : (Scalar.t * t) array) : t =
 
 (* Straus's interleaving: every term's width-5 wNAF digits ride one shared
    chain of ~256 doublings, so n terms cost ~256 doublings and ~43n
-   additions, plus a table of odd multiples per base sized to the largest
-   digit its scalar uses (a unit scalar needs no table work at all).  The
-   terms on [g] arrive folded into one scalar [kg] and use the cached
+   additions, plus an 8-entry table of odd multiples per base.  The terms
+   on [g] arrive folded into one scalar [kg] and use the cached
    odd-multiples table. *)
 let straus (kg : Scalar.t) (terms : (Scalar.t * t) array) : t =
   let s = make_scratch () in
-  let lane k tbl_of =
+  let lane k tbl =
     let digits, top = wnaf_digits k in
-    let biggest = ref 1 in
-    for i = 0 to top do
-      biggest := max !biggest (abs (digit_at digits i))
-    done;
-    (digits, top, tbl_of ((!biggest + 1) / 2))
+    (digits, top, tbl)
   in
-  let lanes =
-    Array.map (fun (k, p) -> lane k (fun count -> odd_multiples s (jac_of_point p) ~count)) terms
-  in
+  let lanes = Array.map (fun (k, p) -> lane k (odd_multiples s (jac_of_point p))) terms in
   let lanes =
     if Nat.is_zero kg then lanes
-    else Array.append [| lane kg (fun _ -> once g_odd_cell build_g_odd) |] lanes
+    else Array.append [| lane kg (once g_odd_cell build_g_odd) |] lanes
   in
   let top = Array.fold_left (fun m (_, t, _) -> max m t) (-1) lanes in
   let acc = jac_infinity () in

@@ -197,6 +197,13 @@ module Scalar = Larch_ec.P256.Scalar
 
 let rand = Larch_hash.Drbg.of_seed "test-substrates"
 
+(* G as a fresh value rather than [Point.g] itself: [Point.mul] hands the
+   physical base point to the comb of [Point.mul_base], so tests of the
+   variable-base wNAF path multiply this copy instead. *)
+let g_wnaf =
+  Point.of_affine ~x:(Larch_ec.P256.Fe.of_nat Larch_ec.P256.gx)
+    ~y:(Larch_ec.P256.Fe.of_nat Larch_ec.P256.gy)
+
 let p256_known_points () =
   Alcotest.(check bool) "G on curve" true (Point.is_on_curve Point.g);
   let two_g = Point.double Point.g in
@@ -206,8 +213,10 @@ let p256_known_points () =
   Alcotest.(check string) "2G.y" "07775510db8ed040293d9ac69f7430dbba7dade63ce982299e04b79d227873d1"
     (Nat.to_hex y);
   Alcotest.(check bool) "2G = G+G" true (Point.equal two_g (Point.add Point.g Point.g));
-  Alcotest.(check bool) "nG = infinity" true
-    (Point.is_infinity (Point.mul (Larch_ec.P256.n :> Nat.t) Point.g))
+  Alcotest.(check bool) "nG = infinity (comb)" true
+    (Point.is_infinity (Point.mul (Larch_ec.P256.n :> Nat.t) Point.g));
+  Alcotest.(check bool) "nG = infinity (wNAF)" true
+    (Point.is_infinity (Point.mul (Larch_ec.P256.n :> Nat.t) g_wnaf))
 
 let p256_group_props =
   let arb_scalar =
@@ -220,7 +229,7 @@ let p256_group_props =
           (Point.mul_base (Scalar.add a b))
           (Point.add (Point.mul_base a) (Point.mul_base b)));
     QCheck.Test.make ~name:"mul matches mul_base" ~count:15 arb_scalar (fun a ->
-        Point.equal (Point.mul a Point.g) (Point.mul_base a));
+        Point.equal (Point.mul a g_wnaf) (Point.mul_base a));
     QCheck.Test.make ~name:"encode/decode roundtrip" ~count:15 arb_scalar (fun a ->
         let p = Point.mul_base a in
         Point.equal (Point.decode_exn (Point.encode p)) p);
@@ -249,8 +258,8 @@ let ecdsa_rfc6979 () =
 
 (* Known-answer scalar multiplication: small multiples of G (independently
    recomputed from the curve equation), k = n-1 (the negation edge of the
-   wNAF recoding), and a full-width scalar.  [Point.mul] exercises the wNAF
-   ladder, [Point.mul_base] the comb, and they must agree with each other
+   wNAF recoding), and a full-width scalar.  [Point.mul] on [g_wnaf]
+   exercises the wNAF ladder, [Point.mul_base] the comb, and they must agree with each other
    and with the published points. *)
 let check_affine msg (ex, ey) pt =
   match Point.to_affine pt with
@@ -276,12 +285,13 @@ let p256_scalar_mul_kats () =
         "e0c17da8904a727d8ae1bf36bf8a79260d012f00d4d80888d1d0bb44fda16da4" );
     ]
   in
-  Alcotest.(check bool) "1*G = G (wNAF)" true (Point.equal (Point.mul Nat.one Point.g) Point.g);
+  Alcotest.(check bool) "G copy is not physically G" true (g_wnaf != Point.g && Point.equal g_wnaf Point.g);
+  Alcotest.(check bool) "1*G = G (wNAF)" true (Point.equal (Point.mul Nat.one g_wnaf) Point.g);
   Alcotest.(check bool) "1*G = G (comb)" true (Point.equal (Point.mul_base Nat.one) Point.g);
   List.iter
     (fun (k, x, y) ->
       let kn = Nat.of_int k in
-      check_affine (string_of_int k ^ "G wNAF") (x, y) (Point.mul kn Point.g);
+      check_affine (string_of_int k ^ "G wNAF") (x, y) (Point.mul kn g_wnaf);
       check_affine (string_of_int k ^ "G comb") (x, y) (Point.mul_base kn))
     kats;
   (* (n-1)*G = -G: same x as G, y = p - G.y.  Exercises the top negative
@@ -291,14 +301,14 @@ let p256_scalar_mul_kats () =
     ( "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
       "b01cbd1c01e58065711814b583f061e9d431cca994cea1313449bf97c840ae0a" )
   in
-  check_affine "(n-1)G wNAF" neg_g (Point.mul n_minus_1 Point.g);
+  check_affine "(n-1)G wNAF" neg_g (Point.mul n_minus_1 g_wnaf);
   check_affine "(n-1)G comb" neg_g (Point.mul_base n_minus_1);
   (* full-width scalar (the RFC 6979 key) through the wNAF path *)
   let sk = Nat.of_hex "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721" in
   check_affine "skG wNAF"
     ( "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6",
       "7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299" )
-    (Point.mul sk Point.g);
+    (Point.mul sk g_wnaf);
   (* Strauss-Shamir joint ladder against its naive decomposition *)
   let u1 = Scalar.of_bytes_be (rand 40) and u2 = Scalar.of_bytes_be (rand 40) in
   let q = Point.mul_base (Scalar.of_bytes_be (rand 40)) in
@@ -343,7 +353,9 @@ let ecdsa_verify_vectors () =
 let table_once_parallel () =
   let scalars = Array.init 16 (fun i -> Scalar.of_nat (Nat.of_int (i + 2))) in
   let combed = Larch_util.Parallel.map ~domains:4 (fun k -> Point.encode (Point.mul_base k)) scalars in
-  let _ = Larch_util.Parallel.map ~domains:4 (fun k -> Point.encode (Point.mul_add k k Point.g)) scalars in
+  (* q is not g, so every call runs a g lane on the cached odd multiples *)
+  let q = Point.double Point.g in
+  let _ = Larch_util.Parallel.map ~domains:4 (fun k -> Point.encode (Point.mul_add k k q)) scalars in
   Alcotest.(check string) "mul_base correct under domains"
     (Point.encode (Point.double Point.g)) combed.(0);
   let builds = Point.base_table_builds () in
