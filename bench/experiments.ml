@@ -567,41 +567,36 @@ let swarm_bench ~fast ?json () =
   Printf.printf "%8s  %9s  %12s  %11s  %9s  %13s\n" "fibers" "wall s" "sessions/s"
     "virtual s" "batches" "batched reqs";
   let counts = if fast then [ 1; 16; 64 ] else [ 1; 16; 256; 1024 ] in
-  let base = 1_700_000_000. in
   let rows =
     List.map
       (fun n ->
-        Larch_util.Clock.set base;
-        let drbg = Larch_hash.Drbg.create ~entropy:(Printf.sprintf "swarm-bench-%d" n) in
-        let rnd k = Larch_hash.Drbg.generate drbg k in
-        let log = Log_service.create ~rand_bytes:rnd () in
-        let la = Log_async.create log in
-        let (), wall =
-          timed (fun () ->
-              Runtime.run ~seed:"bench" (fun () ->
-                  Log_async.start la;
-                  let fibers =
-                    List.init n (fun i ->
-                        Runtime.spawn (fun () ->
-                            let cid = Printf.sprintf "c%04d" i in
-                            let client =
-                              Client.create ~net ~client_id:cid ~account_password:"pw"
-                                ~log ~rand_bytes:rnd ()
-                            in
-                            Log_async.attach la ~client_id:cid client.Client.transport;
-                            Client.enroll ~presignature_count:1 client;
-                            ignore (Client.register_password client ~rp_name:"rp");
-                            ignore (Client.authenticate_password client ~rp_name:"rp")))
-                  in
-                  List.iter Runtime.await fibers;
-                  Log_async.stop la))
-        in
-        let virtual_s = Larch_util.Clock.now () -. base in
-        Larch_util.Clock.use_real_time ();
-        let rate = float_of_int n /. wall in
-        Printf.printf "%8d  %9.2f  %12.1f  %11.2f  %9d  %13d\n%!" n wall rate virtual_s
-          (Log_async.batches la) (Log_async.batched_requests la);
-        (n, wall, rate, virtual_s, Log_async.batches la, Log_async.batched_requests la))
+        fst
+          ( Scenario.run ~entropy:(Printf.sprintf "swarm-bench-%d" n) @@ fun w ->
+            let log = Log_service.create ~rand_bytes:w.rand () in
+            let la = Log_async.create log in
+            let (), wall =
+              timed (fun () ->
+                  Runtime.run ~seed:"bench" (fun () ->
+                      Log_async.start la;
+                      let fibers =
+                        List.init n (fun i ->
+                            Runtime.spawn (fun () ->
+                                let client =
+                                  Scenario.client ~net ~async:la ~rand:w.rand log
+                                    (Printf.sprintf "c%04d" i)
+                                in
+                                Client.enroll ~presignature_count:1 client;
+                                ignore (Client.register_password client ~rp_name:"rp");
+                                ignore (Client.authenticate_password client ~rp_name:"rp")))
+                      in
+                      List.iter Runtime.await fibers;
+                      Log_async.stop la))
+            in
+            let virtual_s = Larch_util.Clock.now () -. Scenario.base_time in
+            let rate = float_of_int n /. wall in
+            Printf.printf "%8d  %9.2f  %12.1f  %11.2f  %9d  %13d\n%!" n wall rate virtual_s
+              (Log_async.batches la) (Log_async.batched_requests la);
+            (n, wall, rate, virtual_s, Log_async.batches la, Log_async.batched_requests la) ))
       counts
   in
   print_endline

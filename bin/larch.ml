@@ -22,8 +22,7 @@ let rand = Larch_hash.Drbg.system ()
 
 let world () =
   let log = Log_service.create ~rand_bytes:rand () in
-  let client = Client.create ~client_id:"cli-user" ~account_password:"cli password" ~log ~rand_bytes:rand () in
-  (log, client)
+  (log, Scenario.client ~password:"cli password" ~rand log "cli-user")
 
 let timed label f =
   let r, dt = Obs.Trace.timed label f in
@@ -122,16 +121,12 @@ let demo_multilog () =
 
 let demo_compromise () =
   print_endline "stolen-device detection and revocation (paper §1, §2.4)";
-  let _log, client = world () in
-  Client.enroll ~presignature_count:6 client;
-  let rp = Relying_party.create ~name:"bank.example" ~rand_bytes:rand () in
-  let pk = Client.register_fido2 client ~rp_name:"bank.example" in
-  Relying_party.fido2_register rp ~username:"cli-user" ~pk;
-  let login () =
-    let chal = Relying_party.fido2_challenge rp ~username:"cli-user" in
-    ignore (Relying_party.fido2_login rp ~username:"cli-user"
-              (Client.authenticate_fido2 client ~rp_name:"bank.example" ~challenge:chal))
+  let log = Log_service.create ~rand_bytes:rand () in
+  let client, login =
+    Scenario.session ~password:"cli password" ~rp_name:"bank.example" ~rand log "cli-user"
+      ~presignatures:6 [ Fido2 ]
   in
+  let login () = login Fido2 in
   login ();
   print_endline "  user logs in once";
   login ();
@@ -162,134 +157,65 @@ let demo_recovery () =
    clock — and show that the two transcripts (operation outcomes, event
    stream, channel meters, audit history) are byte-for-byte identical. *)
 
-let hex (s : string) : string =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.init (String.length s) (String.get s))))
-
-let faults_run ~(seed : string) ~(auths : int) : string * string =
-  Larch_util.Clock.set 1_700_000_000.;
-  Obs.Runtime.set_time_source (Some Larch_util.Clock.now);
-  Obs.Runtime.set_events true;
-  Obs.Events.clear ();
-  let drbg = Larch_hash.Drbg.create ~entropy:("larch-faults-" ^ seed) in
-  let rand n = Larch_hash.Drbg.generate drbg n in
+let faults_world ~(seed : string) ~(auths : int) : string * string =
+  Scenario.run ~events:true ~entropy:("larch-faults-" ^ seed) @@ fun w ->
   (* storage faults ride along with transport faults: the log's state
      lives in a seeded faultable store, so every injected peer restart is
      a genuine kill (un-fsynced bytes drawn away per the disk profile)
      followed by snapshot + WAL recovery *)
-  let disk = Larch_store.Disk.create ~seed () in
-  let store = Larch_store.Store.open_ ~disk ~dir:"log" () in
-  let log = Log_service.create ~checkpoint_every:32 ~store ~rand_bytes:rand () in
-  let client =
-    Client.create ~client_id:"fault-user" ~account_password:"pw" ~log ~rand_bytes:rand ()
-  in
-  let buf = Buffer.create 512 in
-  let record outcome = Buffer.add_string buf (outcome ^ "\n") in
+  let disk, log = Scenario.store_log ~checkpoint_every:32 ~seed w.rand in
   (* clean enrollment and registrations, then inject faults *)
-  Client.enroll ~presignature_count:(4 * auths) client;
-  let rp = Relying_party.create ~name:"rp.example" ~rand_bytes:rand () in
-  let pk = Client.register_fido2 client ~rp_name:"rp.example" in
-  Relying_party.fido2_register rp ~username:"fault-user" ~pk;
-  let totp_key = Relying_party.totp_register rp ~username:"fault-user" in
-  Client.register_totp client ~rp_name:"rp.example" ~totp_key;
-  let site_pw = Client.register_password client ~rp_name:"rp.example" in
-  Relying_party.password_set rp ~username:"fault-user" ~password:site_pw;
+  let protos = Scenario.[ Fido2; Totp; Password ] in
+  let client, login =
+    Scenario.session ~rand:w.rand log "fault-user" ~presignatures:(4 * auths) protos
+  in
   Client.Transport.set_injector client.Client.transport
     (Some (Larch_net.Fault.seeded ~seed Larch_net.Fault.stormy));
-  let ok = ref 0 and failed = ref 0 in
-  let attempt label f =
-    Larch_util.Clock.advance 1.0;
-    match f () with
-    | () ->
-        incr ok;
-        record (label ^ " ok")
-    | exception Client.Transport.Error e ->
-        incr failed;
-        record
-          (Printf.sprintf "%s error %s attempts=%d" label
-             (Client.Transport.failure_to_string e.Client.Transport.last)
-             e.Client.Transport.attempts)
-    | exception Types.Protocol_error m ->
-        incr failed;
-        record (label ^ " protocol-error " ^ m)
-    | exception Client.Log_misbehaved m ->
-        incr failed;
-        record (label ^ " log-misbehaved " ^ m)
-  in
+  let ok = ref 0 in
   for i = 1 to auths do
-    attempt
-      (Printf.sprintf "fido2[%d]" i)
-      (fun () ->
-        let challenge = Relying_party.fido2_challenge rp ~username:"fault-user" in
-        let assertion = Client.authenticate_fido2 client ~rp_name:"rp.example" ~challenge in
-        if not (Relying_party.fido2_login rp ~username:"fault-user" assertion) then
-          failwith "relying party rejected");
-    attempt
-      (Printf.sprintf "totp[%d]" i)
-      (fun () ->
-        ignore (Client.authenticate_totp client ~rp_name:"rp.example" ~time:(Larch_util.Clock.now ())));
-    attempt
-      (Printf.sprintf "password[%d]" i)
-      (fun () ->
-        let pw = Client.authenticate_password client ~rp_name:"rp.example" in
-        if not (Relying_party.password_login rp ~username:"fault-user" ~password:pw) then
-          failwith "relying party rejected")
+    List.iter
+      (fun p ->
+        Larch_util.Clock.advance 1.0;
+        let label = Printf.sprintf "%s[%d]" (Scenario.proto_name p) i in
+        match Scenario.attempt (fun () -> login p) with
+        | Completed -> incr ok; Scenario.line w "%s ok" label
+        | Transport_error e ->
+            Scenario.line w "%s error %s attempts=%d" label
+              (Client.Transport.failure_to_string e.Client.Transport.last)
+              e.Client.Transport.attempts
+        | Protocol_error m -> Scenario.line w "%s protocol-error %s" label m
+        | Log_misbehaved m -> Scenario.line w "%s log-misbehaved %s" label m)
+      protos
   done;
   (* calm the link again and audit what actually got recorded *)
   Client.Transport.set_injector client.Client.transport None;
   Client.resync client;
   let resp = Log_service.audit_with_head log ~client_id:"fault-user" ~token:"pw" in
-  Buffer.add_string buf
-    (Printf.sprintf "merkle head size=%d root=%s\n" resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
-       (hex resp.Log_service.sth.Larch_merkle.Merkle.Sth.root));
+  Scenario.line w "merkle head size=%d root=%s" resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
+    (Larch_util.Hex.encode resp.Log_service.sth.Larch_merkle.Merkle.Sth.root);
   let snap = Client.channel_snapshot client in
-  Buffer.add_string buf
-    (Printf.sprintf "wire up=%d down=%d msgs=%d rts=%d\n" snap.Larch_net.Channel.up
-       snap.Larch_net.Channel.down snap.Larch_net.Channel.msgs snap.Larch_net.Channel.rts);
-  List.iter (fun e -> Buffer.add_string buf (Obs.Events.to_string e ^ "\n")) (Obs.Events.recent ());
+  Scenario.line w "wire up=%d down=%d msgs=%d rts=%d" snap.Larch_net.Channel.up
+    snap.Larch_net.Channel.down snap.Larch_net.Channel.msgs snap.Larch_net.Channel.rts;
+  List.iter (fun e -> Scenario.line w "%s" (Obs.Events.to_string e)) (Obs.Events.recent ());
   (* storage transcript: deterministic disk op counts (never latencies)
      plus the post-storm fsck verdict *)
-  let ds = Larch_store.Disk.stats disk in
-  Buffer.add_string buf
-    (Printf.sprintf "disk appends=%d fsyncs=%d bytes=%d crashes=%d torn=%d rotted=%d\n"
-       ds.Larch_store.Disk.appends ds.Larch_store.Disk.fsyncs ds.Larch_store.Disk.bytes_written
-       ds.Larch_store.Disk.crashes ds.Larch_store.Disk.torn ds.Larch_store.Disk.rotted);
-  let fr = Option.get (Log_service.fsck log) in
-  Buffer.add_string buf
-    (Printf.sprintf "fsck %s: gen=%d wal_ops=%d clients=%d%s\n"
-       (if Log_persist.fsck_clean fr then "clean" else "DIRTY")
-       (Larch_store.Store.generation (Log_persist.store (Option.get (Log_service.persist log))))
-       fr.Log_persist.wal_ops fr.Log_persist.clients
-       (match fr.Log_persist.issues with [] -> "" | l -> " " ^ String.concat "; " l));
+  Scenario.line w "disk %s" (Scenario.disk_counts disk);
+  let fr = Scenario.fsck log in
+  Scenario.line w "%s" (Scenario.fsck_line ~gen:true log fr);
   let st = Client.Transport.stats client.Client.transport in
-  let summary =
-    Printf.sprintf
-      "%d ok / %d failed (typed); transport: %d attempts, %d retries, %d timeouts, %d faults, %d replays; store: %d kills, fsck %s; %d events"
-      !ok !failed st.Client.Transport.attempts st.Client.Transport.retries
-      st.Client.Transport.timeouts st.Client.Transport.faults st.Client.Transport.replays
-      ds.Larch_store.Disk.crashes
-      (if Log_persist.fsck_clean fr then "clean" else "DIRTY")
-      (List.length (Obs.Events.recent ()))
-  in
-  Obs.Runtime.set_events false;
-  Obs.Runtime.set_time_source None;
-  Larch_util.Clock.use_real_time ();
-  (hex (Larch_hash.Sha256.digest (Buffer.contents buf)), summary)
+  Printf.sprintf
+    "%d ok / %d failed (typed); transport: %d attempts, %d retries, %d timeouts, %d faults, %d replays; store: %d kills, fsck %s; %d events"
+    !ok (3 * auths - !ok) st.Client.Transport.attempts st.Client.Transport.retries
+    st.Client.Transport.timeouts st.Client.Transport.faults st.Client.Transport.replays
+    (Larch_store.Disk.stats disk).Larch_store.Disk.crashes (Scenario.verdict fr)
+    (List.length (Obs.Events.recent ()))
 
 let faults seed auths =
   Printf.printf "seeded fault injection (seed=%s, stormy profile, %d auths per method)\n" seed auths;
-  let d1, s1 = faults_run ~seed ~auths in
-  Printf.printf "  run 1: %s\n         transcript digest %s\n" s1 (String.sub d1 0 16);
-  let d2, s2 = faults_run ~seed ~auths in
-  Printf.printf "  run 2: %s\n         transcript digest %s\n" s2 (String.sub d2 0 16);
-  if d1 = d2 then begin
-    print_endline "  deterministic: run 2 replayed run 1 byte for byte";
-    Printf.printf "  reproduce with: larch faults --seed %s -n %d\n" seed auths;
-    0
-  end
-  else begin
-    print_endline "  NOT deterministic: transcripts differ";
-    1
-  end
+  Scenario.twice
+    ~reproduce:(Printf.sprintf "larch faults --seed %s -n %d" seed auths)
+    ~show:(Printf.printf "  %s\n")
+    (fun () -> faults_world ~seed ~auths)
 
 (* --- swarm: concurrent fiber sessions over the faulty link ------------- *)
 
@@ -302,19 +228,11 @@ module Runtime = Larch_runtime.Runtime
    behind the Log_async admission loop.  The transcript records every
    session's outcome in completion order — a pure function of the
    scheduler seed — plus aggregate transport/disk/admission/fsck
-   state; the caller digests it. *)
-let swarm_run ~(seed : string) ~(sessions : int) ~(faulty : bool) : string * string =
-  Larch_util.Clock.set 1_700_000_000.;
-  Obs.Runtime.set_time_source (Some Larch_util.Clock.now);
-  let drbg = Larch_hash.Drbg.create ~entropy:("larch-swarm-" ^ seed) in
-  let rand n = Larch_hash.Drbg.generate drbg n in
-  let disk = Larch_store.Disk.create ~seed () in
-  let store = Larch_store.Store.open_ ~disk ~dir:"log" () in
-  let log =
-    Log_service.create ~checkpoint_every:64 ~objection_window:0.05 ~store ~rand_bytes:rand ()
-  in
+   state. *)
+let swarm_world ~(seed : string) ~(sessions : int) ~(faulty : bool) : string * string =
+  Scenario.run ~entropy:("larch-swarm-" ^ seed) @@ fun w ->
+  let disk, log = Scenario.store_log ~checkpoint_every:64 ~objection_window:0.05 ~seed w.rand in
   let la = Log_async.create log in
-  let transcript = Buffer.create 4096 in
   let ok = ref 0 and failed = ref 0 in
   let attempts = ref 0 and retries = ref 0 and tfaults = ref 0 and replays = ref 0 in
   (* storms, but rare crashes: a shared-log restart hits every in-flight
@@ -326,66 +244,34 @@ let swarm_run ~(seed : string) ~(sessions : int) ~(faulty : bool) : string * str
       Log_async.start la;
       let session i () =
         let cid = Printf.sprintf "swarm-%03d" i in
-        let proto, proto_name =
-          match i mod 10 with
-          | 0 -> (`Fido2, "fido2")
-          | 1 | 2 -> (`Totp, "totp")
-          | _ -> (`Password, "password")
-        in
+        let proto = Scenario.(match i mod 10 with 0 -> Fido2 | 1 | 2 -> Totp | _ -> Password) in
         let client =
-          Client.create ~net:Larch_net.Netsim.paper_default ~client_id:cid
-            ~account_password:("pw-" ^ cid) ~log ~rand_bytes:rand ()
+          Scenario.client ~net:Larch_net.Netsim.paper_default ~async:la ~password:("pw-" ^ cid)
+            ~rand:w.rand log cid
         in
-        Log_async.attach la ~client_id:cid client.Client.transport;
         let outcome =
           match
-            (* clean enrollment; faults start with authentication *)
-            Client.enroll ~presignature_count:(if proto = `Fido2 then 3 else 1) client;
-            let rp = Relying_party.create ~name:("rp-" ^ cid) ~rand_bytes:rand () in
-            if faulty then
-              Client.Transport.set_injector client.Client.transport
-                (Some (Larch_net.Fault.seeded ~seed:(seed ^ "/" ^ cid) profile));
-            (match proto with
-            | `Fido2 ->
-                let pk = Client.register_fido2 client ~rp_name:("rp-" ^ cid) in
-                Relying_party.fido2_register rp ~username:cid ~pk;
-                let challenge = Relying_party.fido2_challenge rp ~username:cid in
-                let assertion =
-                  Client.authenticate_fido2 client ~rp_name:("rp-" ^ cid) ~challenge
-                in
-                if not (Relying_party.fido2_login rp ~username:cid assertion) then
-                  failwith "relying party rejected";
+            Scenario.attempt (fun () ->
+                (* clean enrollment; faults start with registration *)
+                Client.enroll ~presignature_count:(if proto = Fido2 then 3 else 1) client;
+                let rp = Relying_party.create ~name:("rp-" ^ cid) ~rand_bytes:w.rand () in
+                if faulty then
+                  Client.Transport.set_injector client.Client.transport
+                    (Some (Larch_net.Fault.seeded ~seed:(seed ^ "/" ^ cid) profile));
+                Scenario.register client rp proto ();
                 (* staged top-up: the admission loop's idle pass activates
                    it once the objection window lapses *)
-                Client.top_up_presignatures client ~count:2
-            | `Totp ->
-                let totp_key = Relying_party.totp_register rp ~username:cid in
-                Client.register_totp client ~rp_name:("rp-" ^ cid) ~totp_key;
-                ignore
-                  (Client.authenticate_totp client ~rp_name:("rp-" ^ cid)
-                     ~time:(Larch_util.Clock.now ()))
-            | `Password ->
-                let site_pw = Client.register_password client ~rp_name:("rp-" ^ cid) in
-                Relying_party.password_set rp ~username:cid ~password:site_pw;
-                let pw = Client.authenticate_password client ~rp_name:("rp-" ^ cid) in
-                if not (Relying_party.password_login rp ~username:cid ~password:pw) then
-                  failwith "relying party rejected")
+                if proto = Fido2 then Client.top_up_presignatures client ~count:2)
           with
-          | () -> incr ok; "ok"
-          | exception Client.Transport.Error e ->
+          | Completed -> incr ok; "ok"
+          | Transport_error e ->
               incr failed;
               Printf.sprintf "transport-error %s attempts=%d"
                 (Client.Transport.failure_to_string e.Client.Transport.last)
                 e.Client.Transport.attempts
-          | exception Types.Protocol_error m ->
-              incr failed;
-              "protocol-error " ^ m
-          | exception Client.Log_misbehaved m ->
-              incr failed;
-              "log-misbehaved " ^ m
-          | exception Failure m ->
-              incr failed;
-              "failed " ^ m
+          | Protocol_error m -> incr failed; "protocol-error " ^ m
+          | Log_misbehaved m -> incr failed; "log-misbehaved " ^ m
+          | exception Failure m -> incr failed; "failed " ^ m
         in
         (* calm the link again; a verified audit closes the session *)
         Client.Transport.set_injector client.Client.transport None;
@@ -400,9 +286,8 @@ let swarm_run ~(seed : string) ~(sessions : int) ~(faulty : bool) : string * str
         retries := !retries + st.Client.Transport.retries;
         tfaults := !tfaults + st.Client.Transport.faults;
         replays := !replays + st.Client.Transport.replays;
-        Buffer.add_string transcript
-          (Printf.sprintf "%s %-8s %s; %s; retries=%d\n" cid proto_name outcome audit
-             st.Client.Transport.retries)
+        Scenario.line w "%s %-8s %s; %s; retries=%d" cid (Scenario.proto_name proto) outcome audit
+          st.Client.Transport.retries
       in
       let fibers =
         List.init sessions (fun i ->
@@ -416,64 +301,27 @@ let swarm_run ~(seed : string) ~(sessions : int) ~(faulty : bool) : string * str
         fibers;
       Log_async.stop la);
   let elapsed = Larch_util.Clock.now () -. t0 in
-  let ds = Larch_store.Disk.stats disk in
-  let fr = Option.get (Log_service.fsck log) in
-  Buffer.add_string transcript
-    (Printf.sprintf "disk appends=%d fsyncs=%d bytes=%d crashes=%d\n"
-       ds.Larch_store.Disk.appends ds.Larch_store.Disk.fsyncs
-       ds.Larch_store.Disk.bytes_written ds.Larch_store.Disk.crashes);
-  Buffer.add_string transcript
-    (Printf.sprintf "fsck %s: wal_ops=%d clients=%d%s\n"
-       (if Log_persist.fsck_clean fr then "clean" else "DIRTY")
-       fr.Log_persist.wal_ops fr.Log_persist.clients
-       (match fr.Log_persist.issues with [] -> "" | l -> " " ^ String.concat "; " l));
-  Buffer.add_string transcript
-    (Printf.sprintf "admission batches=%d batched_reqs=%d virtual_elapsed=%.3fs\n"
-       (Log_async.batches la) (Log_async.batched_requests la) elapsed);
-  let summary =
-    Printf.sprintf
-      "%d ok / %d failed; transport: %d attempts, %d retries, %d faults, %d replays; \
-       admission: %d batches (%d reqs batched); %d disk kills, fsck %s; %.1fs virtual"
-      !ok !failed !attempts !retries !tfaults !replays (Log_async.batches la)
-      (Log_async.batched_requests la) ds.Larch_store.Disk.crashes
-      (if Log_persist.fsck_clean fr then "clean" else "DIRTY")
-      elapsed
-  in
-  Obs.Runtime.set_time_source None;
-  Larch_util.Clock.use_real_time ();
-  (hex (Larch_hash.Sha256.digest (Buffer.contents transcript)), summary)
-
-(* Fiber-runtime scenarios surface a wedged schedule as a typed
-   [Runtime.Deadlock] carrying every live fiber's name and block reason;
-   any CLI command driving the runtime reports that list and exits 2
-   instead of dying on an unhandled exception. *)
-let with_deadlock_report ~(cmd : string) (f : unit -> 'a) : 'a =
-  try f ()
-  with Runtime.Deadlock stuck ->
-    Printf.eprintf "%s: deadlock; stuck fibers:\n" cmd;
-    List.iter (fun s -> Printf.eprintf "  %s\n" s) stuck;
-    exit 2
+  Scenario.line w "disk %s" (Scenario.disk_counts ~rot:false disk);
+  let fr = Scenario.fsck log in
+  Scenario.line w "%s" (Scenario.fsck_line log fr);
+  Scenario.line w "%s virtual_elapsed=%.3fs" (Scenario.admission_line la) elapsed;
+  Printf.sprintf
+    "%d ok / %d failed; transport: %d attempts, %d retries, %d faults, %d replays; \
+     admission: %d batches (%d reqs batched); %d disk kills, fsck %s; %.1fs virtual"
+    !ok !failed !attempts !retries !tfaults !replays (Log_async.batches la)
+    (Log_async.batched_requests la) (Larch_store.Disk.stats disk).Larch_store.Disk.crashes
+    (Scenario.verdict fr) elapsed
 
 let swarm seed sessions clean =
   let faulty = not clean in
   Printf.printf "swarm: %d concurrent sessions (seed=%s, %s link, 20ms RTT)\n" sessions seed
     (if faulty then "faulty" else "clean");
-  let swarm_run ~seed ~sessions ~faulty =
-    with_deadlock_report ~cmd:"swarm" (fun () -> swarm_run ~seed ~sessions ~faulty)
-  in
-  let d1, s1 = swarm_run ~seed ~sessions ~faulty in
-  Printf.printf "  run 1: %s\n         transcript digest %s\n" s1 (String.sub d1 0 16);
-  let d2, s2 = swarm_run ~seed ~sessions ~faulty in
-  Printf.printf "  run 2: %s\n         transcript digest %s\n" s2 (String.sub d2 0 16);
-  if d1 = d2 then begin
-    print_endline "  deterministic: run 2 replayed the interleaving byte for byte";
-    Printf.printf "  reproduce with: larch swarm --seed %s -n %d\n" seed sessions;
-    0
-  end
-  else begin
-    print_endline "  NOT deterministic: transcripts differ";
-    1
-  end
+  Scenario.twice
+    ~reproduce:
+      (Printf.sprintf "larch swarm --seed %s -n %d%s" seed sessions
+         (if clean then " --clean" else ""))
+    ~show:(Printf.printf "  %s\n")
+    (fun () -> swarm_world ~seed ~sessions ~faulty)
 
 (* --- overload: bounded admission, shedding, brownout ------------------- *)
 
@@ -482,6 +330,7 @@ let swarm seed sessions clean =
    checks: typed sheds appear under overload, goodput at 4x holds >= 70%
    of 1x, the brownout recovers, every audit verifies, fsck is clean. *)
 let overload_run seed fast =
+  Scenario.guard @@ fun () ->
   let mults = if fast then [ 1; 4 ] else [ 1; 2; 4 ] in
   Printf.printf "overload: seeded storms at %s offered load (seed=%s)\n"
     (String.concat "/" (List.map (fun m -> Printf.sprintf "%dx" m) mults))
@@ -489,8 +338,8 @@ let overload_run seed fast =
   let results =
     List.map
       (fun mult ->
-        let w1 = with_deadlock_report ~cmd:"overload" (fun () -> Overload.run ~seed ~mult) in
-        let w2 = with_deadlock_report ~cmd:"overload" (fun () -> Overload.run ~seed ~mult) in
+        let w1 = Overload.run ~seed ~mult in
+        let w2 = Overload.run ~seed ~mult in
         let same = w1.Overload.digest = w2.Overload.digest in
         Printf.printf "  %dx: %s\n" mult w1.Overload.summary;
         Printf.printf "      digest %s (run 2 %s)\n"
@@ -545,51 +394,30 @@ let overload_run seed fast =
 module Disk = Larch_store.Disk
 module Store = Larch_store.Store
 
-(* A deterministic store-backed world: seeded DRBG, simulated clock, all
-   three methods exercised, a backup stored and old records pruned — so
-   the WAL crosses every op family fsck knows how to check. *)
-let store_workload ~(seed : string) ~(auths : int) ~(checkpoint_every : int) :
-    Log_service.t * Disk.t * string =
-  Larch_util.Clock.set 1_700_000_000.;
-  Obs.Runtime.set_time_source (Some Larch_util.Clock.now);
-  let drbg = Larch_hash.Drbg.create ~entropy:("larch-store-" ^ seed) in
-  let rand n = Larch_hash.Drbg.generate drbg n in
-  let disk = Disk.create ~seed () in
-  let dir = "log" in
-  let store = Store.open_ ~disk ~dir () in
-  let log = Log_service.create ~checkpoint_every ~store ~rand_bytes:rand () in
-  let client =
-    Client.create ~client_id:"store-user" ~account_password:"pw" ~log ~rand_bytes:rand ()
+(* A deterministic store-backed world: all three methods exercised, a
+   backup stored and old records pruned — so the WAL crosses every op
+   family fsck knows how to check. *)
+let store_workload (w : Scenario.t) ~(seed : string) ~(auths : int) ~(checkpoint_every : int) :
+    Log_service.t * Disk.t =
+  let disk, log = Scenario.store_log ~checkpoint_every ~seed w.rand in
+  let protos = Scenario.[ Fido2; Totp; Password ] in
+  let client, login =
+    Scenario.session ~rand:w.rand log "store-user" ~presignatures:(2 * auths) protos
   in
-  Client.enroll ~presignature_count:(2 * auths) client;
-  let rp = Relying_party.create ~name:"rp.example" ~rand_bytes:rand () in
-  let pk = Client.register_fido2 client ~rp_name:"rp.example" in
-  Relying_party.fido2_register rp ~username:"store-user" ~pk;
-  let totp_key = Relying_party.totp_register rp ~username:"store-user" in
-  Client.register_totp client ~rp_name:"rp.example" ~totp_key;
-  let site_pw = Client.register_password client ~rp_name:"rp.example" in
-  Relying_party.password_set rp ~username:"store-user" ~password:site_pw;
   for _i = 1 to auths do
-    Larch_util.Clock.advance 30.;
-    let challenge = Relying_party.fido2_challenge rp ~username:"store-user" in
-    ignore
-      (Relying_party.fido2_login rp ~username:"store-user"
-         (Client.authenticate_fido2 client ~rp_name:"rp.example" ~challenge));
-    Larch_util.Clock.advance 30.;
-    ignore (Client.authenticate_totp client ~rp_name:"rp.example" ~time:(Larch_util.Clock.now ()));
-    Larch_util.Clock.advance 30.;
-    ignore (Client.authenticate_password client ~rp_name:"rp.example")
+    List.iter (fun p -> Larch_util.Clock.advance 30.; login p) protos
   done;
   ignore (Backup.store client);
   ignore
     (Log_service.prune_records log ~client_id:"store-user" ~token:"pw"
        ~older_than:(Larch_util.Clock.now () -. 45.));
-  Obs.Runtime.set_time_source None;
-  Larch_util.Clock.use_real_time ();
-  (log, disk, dir)
+  (log, disk)
+
+let store_entropy seed = "larch-store-" ^ seed
+let dir = Scenario.store_dir
 
 let state_digest (clients : Log_state.clients) : string =
-  hex (Larch_hash.Sha256.digest (Log_codec.encode_clients clients))
+  Scenario.digest (Log_codec.encode_clients clients)
 
 let print_fsck (fr : Log_persist.fsck) =
   let v = fr.Log_persist.structural in
@@ -608,7 +436,9 @@ let print_fsck (fr : Log_persist.fsck) =
 
 let fsck_run seed auths =
   Printf.printf "store fsck over a seeded workload (seed=%s, %d auths per method)\n" seed auths;
-  let log, disk, dir = store_workload ~seed ~auths ~checkpoint_every:8 in
+  let (log, disk), _ =
+    Scenario.run ~entropy:(store_entropy seed) (store_workload ~seed ~auths ~checkpoint_every:8)
+  in
   let fr = Option.get (Log_service.fsck log) in
   print_fsck fr;
   let clean = Log_persist.fsck_clean fr in
@@ -649,9 +479,8 @@ let fsck_run seed auths =
         Disk.corrupt d ~file ~pos:(Disk.size d ~file / 2);
         let store' = Store.open_ ~disk:d ~dir () in
         let skipped = (Store.recovered store').Store.snapshots_skipped in
-        let drbg' = Larch_hash.Drbg.create ~entropy:"larch-fsck-recheck" in
         let log' =
-          Log_service.create ~store:store' ~rand_bytes:(fun n -> Larch_hash.Drbg.generate drbg' n) ()
+          Log_service.create ~store:store' ~rand_bytes:(Larch_hash.Drbg.of_seed "larch-fsck-recheck") ()
         in
         let same = state_digest log'.Log_service.clients = state_digest log.Log_service.clients in
         Printf.printf
@@ -673,75 +502,62 @@ let fsck_run seed auths =
 (* Kill the log at a WAL byte offset (record boundary, or mid-frame for a
    torn tail), recover from the disk image, fsck, and digest the replayed
    state. *)
+let recover_world ~(seed : string) ~(auths : int) : (int * int * int * bool) * string =
+  Scenario.run ~entropy:(store_entropy seed) @@ fun w ->
+  (* one generation for the whole run, so every record boundary in the
+     history is a sweepable kill point *)
+  let log, disk = store_workload w ~seed ~auths ~checkpoint_every:100_000 in
+  let live = state_digest log.Log_service.clients in
+  let img = Disk.dump disk in
+  let wal = Store.wal_file dir (Scenario.generation log) in
+  let entries, valid_len, _ = Larch_store.Wal.scan disk ~file:wal in
+  let boundaries =
+    List.rev
+      (List.fold_left
+         (fun acc e -> (List.hd acc + Larch_store.Wal.frame_overhead + String.length e) :: acc)
+         [ 0 ] entries)
+  in
+  let clean = ref 0 and dirty = ref 0 in
+  let kill offset =
+    let d = Disk.restore img in
+    Disk.truncate d ~file:wal offset;
+    let store' = Store.open_ ~disk:d ~dir () in
+    let r = Store.recovered store' in
+    let log' =
+      Log_service.create ~store:store' ~rand_bytes:(Larch_hash.Drbg.of_seed "larch-recover-replay") ()
+    in
+    let fr = Scenario.fsck log' in
+    let ok = Log_persist.fsck_clean fr in
+    if ok then incr clean else incr dirty;
+    Scenario.line w "kill@%06d records=%d torn=%b clients=%d fsck=%s state=%s" offset
+      (List.length r.Store.tail) r.Store.torn
+      (Hashtbl.length log'.Log_service.clients)
+      (if ok then "clean" else String.concat "; " fr.Log_persist.issues)
+      (String.sub (state_digest log'.Log_service.clients) 0 16);
+    state_digest log'.Log_service.clients
+  in
+  List.iter
+    (fun off ->
+      ignore (kill off);
+      (* and a mid-frame kill: the next record half-written *)
+      if off + 4 <= valid_len && off <> valid_len then ignore (kill (off + 4)))
+    boundaries;
+  let final = kill valid_len in
+  Scenario.line w "live=%s final=%s" live final;
+  (List.length boundaries, !clean, !dirty, final = live)
+
 let recover_run seed auths =
   Printf.printf "crash-point recovery sweep (seed=%s, %d auths per method)\n" seed auths;
-  let sweep () =
-    (* one generation for the whole run, so every record boundary in the
-       history is a sweepable kill point *)
-    let log, disk, dir = store_workload ~seed ~auths ~checkpoint_every:100_000 in
-    let live = state_digest log.Log_service.clients in
-    let img = Disk.dump disk in
-    let store = Log_persist.store (Option.get (Log_service.persist log)) in
-    let wal = Store.wal_file dir (Store.generation store) in
-    let entries, valid_len, _ = Larch_store.Wal.scan disk ~file:wal in
-    let boundaries =
-      List.rev
-        (List.fold_left
-           (fun acc e -> (List.hd acc + Larch_store.Wal.frame_overhead + String.length e) :: acc)
-           [ 0 ] entries)
-    in
-    let buf = Buffer.create 4096 in
-    let clean = ref 0 and dirty = ref 0 in
-    let kill offset =
-      let d = Disk.restore img in
-      Disk.truncate d ~file:wal offset;
-      let store' = Store.open_ ~disk:d ~dir () in
-      let r = Store.recovered store' in
-      let drbg' = Larch_hash.Drbg.create ~entropy:"larch-recover-replay" in
-      let log' =
-        Log_service.create ~store:store' ~rand_bytes:(fun n -> Larch_hash.Drbg.generate drbg' n) ()
-      in
-      let fr = Option.get (Log_service.fsck log') in
-      let ok = Log_persist.fsck_clean fr in
-      if ok then incr clean else incr dirty;
-      Buffer.add_string buf
-        (Printf.sprintf "kill@%06d records=%d torn=%b clients=%d fsck=%s state=%s\n" offset
-           (List.length r.Store.tail) r.Store.torn
-           (Hashtbl.length log'.Log_service.clients)
-           (if ok then "clean" else String.concat "; " fr.Log_persist.issues)
-           (String.sub (state_digest log'.Log_service.clients) 0 16));
-      state_digest log'.Log_service.clients
-    in
-    List.iter
-      (fun off ->
-        ignore (kill off);
-        (* and a mid-frame kill: the next record half-written *)
-        if off + 4 <= valid_len && off <> valid_len then ignore (kill (off + 4)))
-      boundaries;
-    let final = kill valid_len in
-    Buffer.add_string buf (Printf.sprintf "live=%s final=%s\n" live final);
-    ( hex (Larch_hash.Sha256.digest (Buffer.contents buf)),
-      List.length boundaries,
-      !clean,
-      !dirty,
-      final = live )
-  in
-  let d1, points, clean, dirty, replay_ok = sweep () in
-  Printf.printf "  %d record boundaries (+ mid-frame variants): %d recoveries fsck-clean, %d dirty\n"
-    points clean dirty;
-  Printf.printf "  full-WAL replay %s the live state byte for byte\n"
-    (if replay_ok then "matches" else "DOES NOT match");
-  let d2, _, _, _, _ = sweep () in
-  Printf.printf "  sweep digest %s\n" (String.sub d1 0 16);
-  if d1 = d2 && dirty = 0 && replay_ok then begin
-    print_endline "  deterministic: sweep 2 replayed sweep 1 byte for byte";
-    Printf.printf "  reproduce with: larch recover --seed %s -n %d\n" seed auths;
-    0
-  end
-  else begin
-    if d1 <> d2 then print_endline "  NOT deterministic: sweeps differ";
-    1
-  end
+  Scenario.twice
+    ~reproduce:(Printf.sprintf "larch recover --seed %s -n %d" seed auths)
+    ~ok:(fun (_, _, dirty, replay_ok) -> dirty = 0 && replay_ok)
+    ~show:(fun (points, clean, dirty, replay_ok) ->
+      Printf.printf
+        "  %d record boundaries (+ mid-frame variants): %d recoveries fsck-clean, %d dirty\n"
+        points clean dirty;
+      Printf.printf "  full-WAL replay %s the live state byte for byte\n"
+        (if replay_ok then "matches" else "DOES NOT match"))
+    (fun () -> recover_world ~seed ~auths)
 
 (* --- the transparency layer: verified audits and split-view detection -- *)
 
@@ -751,20 +567,16 @@ module Merkle = Larch_merkle.Merkle
    incremental verified audits with O(log n) proofs, a rollback caught by
    the client, and a forked multilog replica localized by pairwise
    consistency.  Returns (transcript, digest, all-checks-passed). *)
-let audit_run ~(seed : string) ~(auths : int) : string * string * bool =
-  Larch_util.Clock.set 1_700_000_000.;
-  let drbg = Larch_hash.Drbg.create ~entropy:("larch-audit-" ^ seed) in
-  let rand n = Larch_hash.Drbg.generate drbg n in
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+let audit_world ~(seed : string) ~(auths : int) : (string * bool) * string =
+  Scenario.run ~entropy:("larch-audit-" ^ seed) @@ fun w ->
+  let rand = w.rand in
+  let line fmt = Scenario.line w fmt in
   let all_ok = ref true in
   let expect cond msg = if not cond then begin all_ok := false; line "  UNEXPECTED: %s" msg end in
   (* phase 1: one log, incremental verified audits *)
   line "single log: incremental verified audits (%d authentications)" auths;
   let log = Log_service.create ~rand_bytes:rand () in
-  let client =
-    Client.create ~client_id:"audit-user" ~account_password:"pw" ~log ~rand_bytes:rand ()
-  in
+  let client = Scenario.client ~rand log "audit-user" in
   Client.enroll ~presignature_count:1 client;
   ignore (Client.register_password client ~rp_name:"rp.example");
   for i = 1 to auths do
@@ -780,7 +592,7 @@ let audit_run ~(seed : string) ~(auths : int) : string * string * bool =
     | Ok entries ->
         line "  auth %d: tree size=%d root=%s… delta=%d proof hashes=%d audit ok (%d entries)" i
           resp.Log_service.sth.Merkle.Sth.size
-          (String.sub (hex resp.Log_service.sth.Merkle.Sth.root) 0 12)
+          (String.sub (Larch_util.Hex.encode resp.Log_service.sth.Merkle.Sth.root) 0 12)
           (List.length resp.Log_service.records) proof_hashes (List.length entries);
         expect (List.length entries = i) "verified history shorter than the auth count"
     | Error e ->
@@ -812,7 +624,7 @@ let audit_run ~(seed : string) ~(auths : int) : string * string * bool =
   let show_heads (sv : Multilog.split_view) =
     List.iter
       (fun (i, (h : Merkle.Sth.t)) ->
-        line "  log%d: size=%d root=%s…" i h.Merkle.Sth.size (String.sub (hex h.Merkle.Sth.root) 0 12))
+        line "  log%d: size=%d root=%s…" i h.Merkle.Sth.size (String.sub (Larch_util.Hex.encode h.Merkle.Sth.root) 0 12))
       sv.Multilog.heads
   in
   let sv = Multilog.check_split_view ml mc in
@@ -833,45 +645,24 @@ let audit_run ~(seed : string) ~(auths : int) : string * string * bool =
     | [] -> "none"
     | l -> String.concat " " (List.map (Printf.sprintf "log%d") l));
   expect (sv'.Multilog.suspects = [ 2 ]) "fork not localized to log2";
-  Larch_util.Clock.use_real_time ();
-  let transcript = Buffer.contents buf in
-  (transcript, hex (Larch_hash.Sha256.digest transcript), !all_ok)
+  (Buffer.contents w.out, !all_ok)
 
 let audit_cli seed auths =
   Printf.printf "merkle transparency walk-through (seed=%s)\n" seed;
-  let t1, d1, ok1 = audit_run ~seed ~auths in
-  print_string t1;
-  let _t2, d2, _ok2 = audit_run ~seed ~auths in
-  Printf.printf "transcript digest run 1: %s\n" (String.sub d1 0 16);
-  Printf.printf "transcript digest run 2: %s\n" (String.sub d2 0 16);
-  if d1 = d2 && ok1 then begin
-    print_endline "deterministic: run 2 replayed run 1 byte for byte";
-    Printf.printf "reproduce with: larch audit --seed %s -n %d\n" seed auths;
-    0
-  end
-  else begin
-    if d1 <> d2 then print_endline "NOT deterministic: transcripts differ";
-    if not ok1 then print_endline "FAILED: a transparency check did not hold";
-    1
-  end
+  Scenario.twice
+    ~reproduce:(Printf.sprintf "larch audit --seed %s -n %d" seed auths)
+    ~ok:snd ~show:(fun (t, _) -> print_string t)
+    (fun () -> audit_world ~seed ~auths)
 
 (* --- the capacity report and the metric exporters ---------------------- *)
 
 let report_run seed auths =
-  let r1 = Report.run ~auths ~seed () in
-  print_string r1.Report.text;
-  let r2 = Report.run ~auths ~seed () in
-  Printf.printf "digest run 1: %s\n" r1.Report.digest;
-  Printf.printf "digest run 2: %s\n" r2.Report.digest;
-  if r1.Report.digest = r2.Report.digest then begin
-    print_endline "deterministic: run 2 reproduced run 1 byte for byte";
-    Printf.printf "reproduce with: larch report --seed %s -n %d\n" seed auths;
-    0
-  end
-  else begin
-    print_endline "NOT deterministic: reports differ";
-    1
-  end
+  Scenario.twice
+    ~reproduce:(Printf.sprintf "larch report --seed %s -n %d" seed auths)
+    ~show:(fun r -> print_string r.Report.text)
+    (fun () ->
+      let r = Report.run ~auths ~seed () in
+      (r, r.Report.digest))
 
 let sizes () =
   print_endline "byte-level protocol constants:";

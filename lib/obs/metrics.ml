@@ -192,6 +192,17 @@ let merge ~(into : t) (src : t) : unit =
 
 (* --- rendering --- *)
 
+(* The unit of a histogram's samples, read off its name: spans and
+   [*_ms]/[*.ms] metrics are milliseconds, [*bytes] metrics bytes,
+   [*delay] metrics (admission queue delay) simulated seconds; anything
+   else (batch and group sizes) is a plain count. *)
+let unit_of_name (name : string) : string =
+  let ends suffix = String.ends_with ~suffix name in
+  if String.starts_with ~prefix:"span." name || ends "_ms" || ends ".ms" then "ms"
+  else if ends "bytes" then "B"
+  else if ends "delay" then "s"
+  else "count"
+
 let report (t : t) : string =
   let s = snapshot t in
   let buf = Buffer.create 1024 in
@@ -209,15 +220,15 @@ let report (t : t) : string =
   end;
   if s.s_histograms <> [] then begin
     Buffer.add_string buf
-      (Printf.sprintf "histograms (ms):\n  %-42s %8s %9s %9s %9s %9s %9s\n" "name" "count"
-         "mean" "p50" "p95" "p99" "max");
+      (Printf.sprintf "histograms:\n  %-42s %-5s %8s %9s %9s %9s %9s %9s\n" "name" "unit"
+         "count" "mean" "p50" "p95" "p99" "max");
     List.iter
       (fun (name, _) ->
         let h = histogram t name in
         if histogram_count h > 0 then
           Buffer.add_string buf
-            (Printf.sprintf "  %-42s %8d %9.2f %9.2f %9.2f %9.2f %9.2f\n" name
-               (histogram_count h) (histogram_mean h) (percentile h 0.50) (percentile h 0.95)
+            (Printf.sprintf "  %-42s %-5s %8d %9.2f %9.2f %9.2f %9.2f %9.2f\n" name
+               (unit_of_name name) (histogram_count h) (histogram_mean h) (percentile h 0.50) (percentile h 0.95)
                (percentile h 0.99) (histogram_max h)))
       s.s_histograms
   end;

@@ -99,5 +99,8 @@ val merge : into:t -> t -> unit
     registries of a sharded log into one capacity view. *)
 
 val report : t -> string
-(** Render counters, gauges, and histogram summary rows (count, mean,
-    p50/p95/p99, max) as an aligned text table. *)
+(** Render counters, gauges, and histogram summary rows (unit, count,
+    mean, p50/p95/p99, max) as an aligned text table.  A histogram's unit
+    is read off its name: [span.*], [*_ms] and [*.ms] are milliseconds,
+    [*bytes] bytes ([B]), [*delay] seconds ([s]), anything else a
+    [count]. *)

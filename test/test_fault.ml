@@ -53,62 +53,55 @@ let () =
     (if fast then " [fast]" else "")
     seed
 
-(* --- world scaffolding: simulated clock, deterministic event stream --- *)
+(* --- world scaffolding: each test runs inside one seeded world --- *)
 
-let base_time = 1_754_000_000.
+(* Simulated clock, event stream on, one DRBG; the real clock and a quiet
+   event stream come back afterwards, even when an assertion fails. *)
+let in_world ~entropy body = fst (Scenario.run ~events:true ~entropy body)
 
-let fresh_world ~entropy () =
-  Clock.set base_time;
-  Obs.Runtime.set_time_source (Some Clock.now);
-  Obs.Runtime.set_events true;
-  Obs.Events.clear ();
-  let rand = Larch_hash.Drbg.rand_bytes_of (Larch_hash.Drbg.create ~entropy) in
-  let log = Log_service.create ~rand_bytes:rand () in
-  let client =
-    Client.create ~client_id:"alice" ~account_password:"pw" ~log ~rand_bytes:rand ()
-  in
-  (log, client, rand)
-
-type outcome = Completed | Typed of string
-
-let outcome_string = function Completed -> "completed" | Typed m -> "typed: " ^ m
-
-(* The only acceptable ends of a faulty operation.  Anything else —
-   including an untyped exception — fails the test. *)
-let classify (f : unit -> unit) : outcome =
-  match f () with
-  | () -> Completed
-  | exception Transport.Error e ->
-      Typed ("transport " ^ Transport.failure_to_string e.Transport.last)
-  | exception Types.Protocol_error m -> Typed ("protocol " ^ m)
-  | exception Client.Log_misbehaved m -> Typed ("log-misbehaved " ^ m)
+(* The only acceptable ends of a faulty operation are [Scenario.attempt]'s
+   typed outcomes; an untyped exception escapes it and fails the test. *)
+let outcome_string : Scenario.outcome -> string = function
+  | Completed -> "completed"
+  | Transport_error e -> "typed: transport " ^ Transport.failure_to_string e.Transport.last
+  | Protocol_error m -> "typed: protocol " ^ m
+  | Log_misbehaved m -> "typed: log-misbehaved " ^ m
 
 let expect_completed name = function
-  | Completed -> ()
-  | Typed m -> Alcotest.failf "%s: expected completion, got typed failure: %s" name m
+  | Scenario.Completed -> ()
+  | o -> Alcotest.failf "%s: expected completion, got %s" name (outcome_string o)
 
 let expect_typed name = function
-  | Completed -> Alcotest.failf "%s: expected a typed failure, completed instead" name
-  | Typed _ -> ()
+  | Scenario.Completed -> Alcotest.failf "%s: expected a typed failure, completed instead" name
+  | _ -> ()
 
 let records log = List.length (Log_service.audit log ~client_id:"alice" ~token:"pw")
+
+(* A scripted world: "alice" enrolled with [presignatures] and registered
+   for [proto] at one relying party; [body] gets the log, the client and
+   the login (client auth plus relying-party check). *)
+let scripted ~entropy ~presignatures proto body =
+  in_world ~entropy @@ fun w ->
+  let log = Log_service.create ~rand_bytes:w.rand () in
+  let client, login = Scenario.session ~rand:w.rand log "alice" ~presignatures [ proto ] in
+  body log client (fun () -> login proto)
 
 (* Run one scripted scenario: install the schedule, drive [auth] once,
    then verify the recovery invariants — injector off, resync, a clean
    re-drive succeeds, and the audit chain verifies end to end. *)
 let run_scenario ~name ~schedule ~events (log, client) (auth : unit -> unit) :
-    outcome * Transport.stats * int =
+    Scenario.outcome * Transport.stats * int =
   let recs0 = records log in
   Transport.reset_stats client.Client.transport;
   Transport.set_injector client.Client.transport (Some (Fault.scripted ~events schedule));
-  let outcome = classify auth in
+  let outcome = Scenario.attempt auth in
   let stats = Transport.stats client.Client.transport in
   let faulty_recs = records log - recs0 in
   Transport.set_injector client.Client.transport None;
   Client.resync client;
-  (match classify auth with
+  (match Scenario.attempt auth with
   | Completed -> ()
-  | Typed m -> Alcotest.failf "%s: world wedged — clean re-drive failed: %s" name m);
+  | o -> Alcotest.failf "%s: world wedged — clean re-drive failed: %s" name (outcome_string o));
   (match Client.audit_verified client with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: audit chain broken after recovery: %s" name e);
@@ -120,19 +113,11 @@ let run_scenario ~name ~schedule ~events (log, client) (auth : unit -> unit) :
    2 commit-req, 3 commit-resp, 4 finish-req, 5 finish-resp (retries and
    resync shift later indices). *)
 
-let fido2_world tag =
-  let log, client, rand = fresh_world ~entropy:("fault-matrix-fido2-" ^ tag) () in
-  Client.enroll ~presignature_count:8 client;
-  ignore (Client.register_fido2 client ~rp_name:"rp.com");
-  (log, client, rand)
-
 let fido2_scenario ~name ~schedule ?(events = []) ~check () =
-  let log, client, rand = fido2_world name in
+  scripted ~entropy:("fault-matrix-fido2-" ^ name) ~presignatures:8 Fido2
+  @@ fun log client auth ->
   let before_c = Client.presignatures_remaining client in
   let before_l = Log_service.presignatures_remaining log ~client_id:"alice" in
-  let auth () =
-    ignore (Client.authenticate_fido2 client ~rp_name:"rp.com" ~challenge:(rand 32))
-  in
   let outcome, stats, faulty_recs = run_scenario ~name ~schedule ~events (log, client) auth in
   let used_c = before_c - Client.presignatures_remaining client in
   let used_l = before_l - Log_service.presignatures_remaining log ~client_id:"alice" in
@@ -205,17 +190,9 @@ let fido2_give_up_redrive () =
 
 (* --- TOTP schedule matrix (invoke: legs 0 request, 1 response) --- *)
 
-let totp_world tag =
-  let log, client, rand = fresh_world ~entropy:("fault-matrix-totp-" ^ tag) () in
-  Client.enroll ~presignature_count:1 client;
-  Client.register_totp client ~rp_name:"rp.com" ~totp_key:(rand 20);
-  (log, client, rand)
-
 let totp_scenario ~name ~schedule ?(events = []) ~check () =
-  let log, client, _rand = totp_world name in
-  let auth () =
-    ignore (Client.authenticate_totp client ~rp_name:"rp.com" ~time:(Clock.now ()))
-  in
+  scripted ~entropy:("fault-matrix-totp-" ^ name) ~presignatures:1 Totp
+  @@ fun log client auth ->
   let outcome, stats, faulty_recs = run_scenario ~name ~schedule ~events (log, client) auth in
   check ~outcome ~stats ~faulty_recs
 
@@ -254,12 +231,6 @@ let totp_crash_no_recovery () =
 
 (* --- password schedule matrix (call: legs 0 request, 1 response) --- *)
 
-let pw_world tag =
-  let log, client, _rand = fresh_world ~entropy:("fault-matrix-pw-" ^ tag) () in
-  Client.enroll ~presignature_count:1 client;
-  ignore (Client.register_password client ~rp_name:"rp.com");
-  (log, client, ())
-
 let pw_ids_aligned name log client =
   Alcotest.(check (list string))
     (name ^ ": client/log identifier lists aligned")
@@ -267,12 +238,9 @@ let pw_ids_aligned name log client =
     (Client.pw_side client).Client.pw_ids
 
 let pw_scenario ~name ~schedule ?(events = []) ?(auths = 1) ~check () =
-  let log, client, () = pw_world name in
-  let auth () =
-    for _ = 1 to auths do
-      ignore (Client.authenticate_password client ~rp_name:"rp.com")
-    done
-  in
+  scripted ~entropy:("fault-matrix-pw-" ^ name) ~presignatures:1 Password
+  @@ fun log client login ->
+  let auth () = for _ = 1 to auths do login () done in
   let outcome, stats, faulty_recs = run_scenario ~name ~schedule ~events (log, client) auth in
   pw_ids_aligned name log client;
   check ~outcome ~stats ~faulty_recs
@@ -336,51 +304,37 @@ let pw_crash_restart () =
 (* --- seeded-storm determinism: same seed ⇒ identical transcript --- *)
 
 let transcript ~run_tag ~auths : string =
-  let log, client, rand =
-    fresh_world ~entropy:(Printf.sprintf "storm-world-%s" seed) ()
-  in
+  in_world ~entropy:(Printf.sprintf "storm-world-%s" seed) @@ fun w ->
   ignore run_tag;
   (* the run tag must NOT influence the world *)
-  Client.enroll ~presignature_count:(2 * auths * 2) client;
-  ignore (Client.register_fido2 client ~rp_name:"rp.com");
-  Client.register_totp client ~rp_name:"rp.com" ~totp_key:(rand 20);
-  ignore (Client.register_password client ~rp_name:"rp.com");
+  let log = Log_service.create ~rand_bytes:w.rand () in
+  let protos = Scenario.[ Fido2; Totp; Password ] in
+  let client, login =
+    Scenario.session ~rand:w.rand log "alice" ~presignatures:(2 * auths * 2) protos
+  in
   Transport.set_injector client.Client.transport
     (Some (Fault.seeded ~seed:("storm-" ^ seed) Fault.stormy));
-  let buf = Buffer.create 1024 in
-  let attempt name f =
-    Clock.advance 30.;
-    Buffer.add_string buf (name ^ " " ^ outcome_string (classify f) ^ "\n")
-  in
   for i = 1 to auths do
-    attempt
-      (Printf.sprintf "fido2/%d" i)
-      (fun () ->
-        ignore (Client.authenticate_fido2 client ~rp_name:"rp.com" ~challenge:(rand 32)));
-    attempt
-      (Printf.sprintf "totp/%d" i)
-      (fun () -> ignore (Client.authenticate_totp client ~rp_name:"rp.com" ~time:(Clock.now ())));
-    attempt
-      (Printf.sprintf "password/%d" i)
-      (fun () -> ignore (Client.authenticate_password client ~rp_name:"rp.com"))
+    List.iter
+      (fun p ->
+        Clock.advance 30.;
+        Scenario.line w "%s/%d %s" (Scenario.proto_name p) i
+          (outcome_string (Scenario.attempt (fun () -> login p))))
+      protos
   done;
   Transport.set_injector client.Client.transport None;
   Client.resync client;
   let snap = Client.channel_snapshot client in
-  Buffer.add_string buf
-    (Printf.sprintf "wire up=%d down=%d msgs=%d rts=%d\n" snap.Channel.up snap.Channel.down
-       snap.Channel.msgs snap.Channel.rts);
+  Scenario.line w "wire up=%d down=%d msgs=%d rts=%d" snap.Channel.up snap.Channel.down
+    snap.Channel.msgs snap.Channel.rts;
   let resp = Log_service.audit_with_head log ~client_id:"alice" ~token:"pw" in
-  Buffer.add_string buf
-    (Printf.sprintf "merkle head size=%d root=%s\n"
-       resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
-       (Larch_util.Hex.encode resp.Log_service.sth.Larch_merkle.Merkle.Sth.root));
+  Scenario.line w "merkle head size=%d root=%s" resp.Log_service.sth.Larch_merkle.Merkle.Sth.size
+    (Larch_util.Hex.encode resp.Log_service.sth.Larch_merkle.Merkle.Sth.root);
   let st = Transport.stats client.Client.transport in
-  Buffer.add_string buf
-    (Printf.sprintf "stats a=%d r=%d t=%d f=%d p=%d\n" st.Transport.attempts st.Transport.retries
-       st.Transport.timeouts st.Transport.faults st.Transport.replays);
-  List.iter (fun e -> Buffer.add_string buf (Obs.Events.to_string e ^ "\n")) (Obs.Events.recent ());
-  Buffer.contents buf
+  Scenario.line w "stats a=%d r=%d t=%d f=%d p=%d" st.Transport.attempts st.Transport.retries
+    st.Transport.timeouts st.Transport.faults st.Transport.replays;
+  List.iter (fun e -> Scenario.line w "%s" (Obs.Events.to_string e)) (Obs.Events.recent ());
+  Buffer.contents w.out
 
 let storm_deterministic () =
   let auths = if fast then 1 else 2 in
@@ -409,22 +363,17 @@ let popcount mask =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go mask 0
 
-let multilog_world ~n ~threshold =
-  Clock.set base_time;
-  Obs.Runtime.set_time_source (Some Clock.now);
-  Obs.Runtime.set_events true;
-  Obs.Events.clear ();
-  let rand =
-    Larch_hash.Drbg.rand_bytes_of
-      (Larch_hash.Drbg.create ~entropy:(Printf.sprintf "fault-multilog-%d-%d" n threshold))
-  in
-  let ml = Multilog.create ~n ~threshold ~rand_bytes:rand () in
+(* Run [body] over a fresh n-log multilog with client "alice" enrolled
+   and registered at rp.com. *)
+let multilog_world ~n ~threshold body () =
+  in_world ~entropy:(Printf.sprintf "fault-multilog-%d-%d" n threshold) @@ fun w ->
+  let ml = Multilog.create ~n ~threshold ~rand_bytes:w.rand () in
   let c = Multilog.enroll ml ~client_id:"alice" ~account_password:"pw" in
   ignore (Multilog.register ml c ~rp_name:"rp.com");
-  (ml, c)
+  body ml c
 
-let availability_matrix ~n ~threshold () =
-  let ml, c = multilog_world ~n ~threshold in
+let availability_matrix ~n ~threshold =
+  multilog_world ~n ~threshold @@ fun ml c ->
   let expected = Multilog.authenticate ml c ~rp_name:"rp.com" ~now:(Clock.now ()) in
   for mask = 0 to (1 lsl n) - 1 do
     for i = 0 to n - 1 do
@@ -451,8 +400,8 @@ let availability_matrix ~n ~threshold () =
     Multilog.set_online ml i true
   done
 
-let multilog_failover_event () =
-  let ml, c = multilog_world ~n:3 ~threshold:2 in
+let multilog_failover_event =
+  multilog_world ~n:3 ~threshold:2 @@ fun ml c ->
   (* log 0 crashed (injector, not admin-down): the client must fail over
      past it mid-flight and still authenticate with logs 1 and 2 *)
   Multilog.set_injector ml 0 (Some (Fault.scripted ~events:[ (0, Fault.Crash) ] []));
@@ -464,12 +413,8 @@ let multilog_failover_event () =
   ignore (Multilog.authenticate ml c ~rp_name:"rp.com" ~now:(Clock.now ()))
 
 let multilog_enroll_rollback () =
-  Clock.set base_time;
-  Obs.Runtime.set_time_source (Some Clock.now);
-  let rand =
-    Larch_hash.Drbg.rand_bytes_of (Larch_hash.Drbg.create ~entropy:"fault-ml-enroll-rollback")
-  in
-  let ml = Multilog.create ~n:3 ~threshold:2 ~rand_bytes:rand () in
+  in_world ~entropy:"fault-ml-enroll-rollback" @@ fun w ->
+  let ml = Multilog.create ~n:3 ~threshold:2 ~rand_bytes:w.rand () in
   Multilog.set_online ml 2 false;
   (match Multilog.enroll ml ~client_id:"alice" ~account_password:"pw" with
   | _ -> Alcotest.fail "enrollment succeeded with a log down"
@@ -484,8 +429,8 @@ let multilog_enroll_rollback () =
   let c2 = Multilog.enroll ml ~client_id:"alice" ~account_password:"pw" in
   ignore (Multilog.register ml c2 ~rp_name:"rp.com")
 
-let multilog_register_rollback () =
-  let ml, c = multilog_world ~n:3 ~threshold:2 in
+let multilog_register_rollback =
+  multilog_world ~n:3 ~threshold:2 @@ fun ml c ->
   (* log 2 unreachable mid-registration: the identifier must be
      unregistered from the logs that already stored it *)
   Multilog.set_injector ml 2 (Some (Fault.scripted ~events:[ (0, Fault.Crash) ] []));

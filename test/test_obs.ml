@@ -125,6 +125,30 @@ let counters_and_gauges () =
   Alcotest.(check bool) "report mentions counter" true
     (contains report "test.count")
 
+(* each histogram row names its unit, read off the metric name *)
+let histogram_units () =
+  let m = Metrics.create () in
+  List.iter
+    (fun name -> Metrics.force_observe (Metrics.histogram m name) 3.)
+    [ "span.test.op"; "log.merkle.proof.bytes"; "log.admission.queue_delay"; "store.wal.group_size" ];
+  let rows = String.split_on_char '\n' (Metrics.report m) in
+  Alcotest.(check bool) "header has no blanket unit" false
+    (List.mem "histograms (ms):" rows);
+  List.iter
+    (fun (name, unit) ->
+      match
+        List.find_opt (fun r -> contains r name) rows
+        |> Option.map (fun r -> String.split_on_char ' ' r |> List.filter (( <> ) ""))
+      with
+      | Some (n :: u :: _) when n = name -> Alcotest.(check string) (name ^ " unit") unit u
+      | _ -> Alcotest.failf "no report row for %s" name)
+    [
+      ("span.test.op", "ms");
+      ("log.merkle.proof.bytes", "B");
+      ("log.admission.queue_delay", "s");
+      ("store.wal.group_size", "count");
+    ]
+
 (* --- disabled-mode contract: no allocation, no recording --- *)
 
 let disabled_is_noop () =
@@ -608,6 +632,47 @@ let report_determinism () =
         (contains r1.Report.text needle))
     [ "fido2"; "totp"; "password"; "p50"; "p99"; "presig"; "wal" ]
 
+(* --- the seeded-world harness --- *)
+
+(* A small but real world: one password session against a fresh log; the
+   transcript carries the Merkle root, so every DRBG draw shows in it. *)
+let password_world entropy =
+  Scenario.run ~entropy @@ fun w ->
+  let log = Log_service.create ~rand_bytes:w.rand () in
+  let _, login =
+    Scenario.session ~rand:w.rand log "scenario-user" ~presignatures:1 [ Scenario.Password ]
+  in
+  Larch_util.Clock.advance 30.;
+  login Scenario.Password;
+  let resp = Log_service.audit_with_head log ~client_id:"scenario-user" ~token:"pw" in
+  Scenario.line w "records=%d root=%s" (List.length resp.Log_service.records)
+    (Larch_util.Hex.encode resp.Log_service.sth.Larch_merkle.Merkle.Sth.root)
+
+let scenario_digests () =
+  let (), d1 = password_world "scenario-a" in
+  let (), d2 = password_world "scenario-a" in
+  let (), d3 = password_world "scenario-b" in
+  Alcotest.(check string) "same entropy, same digest" d1 d2;
+  Alcotest.(check int) "digest is hex sha256" 64 (String.length d1);
+  Alcotest.(check bool) "different entropy, different digest" true (d1 <> d3)
+
+let scenario_restores_on_raise () =
+  let real () = Unix.gettimeofday () in
+  (match
+     Scenario.run ~events:true ~entropy:"scenario-raise" (fun _ ->
+         Alcotest.(check (float 0.)) "simulated clock inside" Scenario.base_time
+           (Larch_util.Clock.now ());
+         Alcotest.(check bool) "events on inside" true (Obs.Runtime.events_enabled ());
+         failwith "world died")
+   with
+  | _ -> Alcotest.fail "the raising body returned"
+  | exception Failure m -> Alcotest.(check string) "body's exception propagates" "world died" m);
+  Alcotest.(check bool) "clock back on real time" true
+    (Float.abs (Larch_util.Clock.now () -. real ()) < 60.);
+  Alcotest.(check bool) "obs time source unset" true
+    (Float.abs (Obs.Runtime.now () -. real ()) < 60.);
+  Alcotest.(check bool) "events off" false (Obs.Runtime.events_enabled ())
+
 (* --- runner --- *)
 
 let () =
@@ -624,6 +689,7 @@ let () =
           Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
           Alcotest.test_case "counters and gauges" `Quick counters_and_gauges;
           Alcotest.test_case "registry merge" `Quick registry_merge;
+          Alcotest.test_case "histogram rows name their unit" `Quick histogram_units;
         ] );
       ( "histo-property",
         [
@@ -638,6 +704,12 @@ let () =
         [ Alcotest.test_case "parallel workers pin trace lanes" `Quick parallel_tid_lanes ] );
       ( "report",
         [ Alcotest.test_case "capacity report is byte-deterministic" `Slow report_determinism ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "seeded worlds digest by entropy" `Quick scenario_digests;
+          Alcotest.test_case "globals restored when the body raises" `Quick
+            scenario_restores_on_raise;
+        ] );
       ( "runtime",
         [ Alcotest.test_case "disabled mode allocates nothing" `Quick disabled_is_noop ] );
       ( "channel",

@@ -27,8 +27,6 @@ open Larch_core
 module Runtime = Larch_runtime.Runtime
 module Fault = Larch_net.Fault
 module Transport = Larch_net.Transport
-module Clock = Larch_util.Clock
-module Obs = Larch_obs
 
 let seed_base, argv =
   let rec strip acc s = function
@@ -68,129 +66,82 @@ let profiles =
     ("crash-restart", { Fault.calm with Fault.p_crash = 0.03; crash_span = 3; p_drop = 0.03 });
   ]
 
-let base_time = 1_754_000_000.
-
 type world = { digest : string; violations : string list; crashes : int }
 
 (* Drive one seeded world: [sessions_per_world] fibers, one shared log,
    one admission loop.  The transcript (completion-order outcomes plus
    aggregate disk/admission state) is digested for the replay check. *)
 let run_world ~(entropy : string) ~(profile : Fault.profile) : world =
-  Clock.set base_time;
-  Obs.Runtime.set_time_source (Some Clock.now);
-  let drbg = Larch_hash.Drbg.create ~entropy in
-  let rand n = Larch_hash.Drbg.generate drbg n in
-  let disk = Larch_store.Disk.create ~seed:entropy () in
-  let store = Larch_store.Store.open_ ~disk ~dir:"log" () in
-  let log =
-    Log_service.create ~checkpoint_every:32 ~objection_window:0.05 ~store ~rand_bytes:rand ()
-  in
-  let la = Log_async.create log in
-  let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  let transcript = Buffer.create 1024 in
-  Runtime.run ~seed:entropy (fun () ->
-      Log_async.start la;
-      let session i () =
-        let cid = Printf.sprintf "s%02d" i in
-        let proto =
-          if i mod sessions_per_world = 0 then `Fido2
-          else if i mod sessions_per_world <= 3 then `Totp
-          else `Password
-        in
-        let client =
-          Client.create ~net:Larch_net.Netsim.paper_default ~client_id:cid
-            ~account_password:("pw-" ^ cid) ~log ~rand_bytes:rand ()
-        in
-        Log_async.attach la ~client_id:cid client.Client.transport;
-        (* clean enrollment and registration; faults start with auth *)
-        Client.enroll ~presignature_count:(if proto = `Fido2 then 2 else 1) client;
-        let rp = Relying_party.create ~name:("rp-" ^ cid) ~rand_bytes:rand () in
-        let auth =
-          match proto with
-          | `Fido2 ->
-              let pk = Client.register_fido2 client ~rp_name:("rp-" ^ cid) in
-              Relying_party.fido2_register rp ~username:cid ~pk;
-              fun () ->
-                let challenge = Relying_party.fido2_challenge rp ~username:cid in
-                let assertion =
-                  Client.authenticate_fido2 client ~rp_name:("rp-" ^ cid) ~challenge
-                in
-                if not (Relying_party.fido2_login rp ~username:cid assertion) then
-                  Types.fail "relying party rejected"
-          | `Totp ->
-              let totp_key = Relying_party.totp_register rp ~username:cid in
-              Client.register_totp client ~rp_name:("rp-" ^ cid) ~totp_key;
-              fun () ->
-                ignore
-                  (Client.authenticate_totp client ~rp_name:("rp-" ^ cid) ~time:(Clock.now ()))
-          | `Password ->
-              let site_pw = Client.register_password client ~rp_name:("rp-" ^ cid) in
-              Relying_party.password_set rp ~username:cid ~password:site_pw;
-              fun () ->
-                let pw = Client.authenticate_password client ~rp_name:("rp-" ^ cid) in
-                if not (Relying_party.password_login rp ~username:cid ~password:pw) then
-                  Types.fail "relying party rejected"
-        in
-        Transport.set_injector client.Client.transport
-          (Some (Fault.seeded ~seed:(entropy ^ "/" ^ cid) profile));
-        let outcome =
-          match auth () with
-          | () -> "ok"
-          | exception Transport.Error e ->
-              "transport " ^ Transport.failure_to_string e.Transport.last
-          | exception Types.Protocol_error m -> "protocol " ^ m
-          | exception Client.Log_misbehaved m -> "log-misbehaved " ^ m
-        in
-        (* calm link: the world must be fully recoverable *)
-        Transport.set_injector client.Client.transport None;
-        (match Client.resync client with
-        | () -> ()
-        | exception e ->
-            violate "%s: resync failed on a calm link: %s" cid (Printexc.to_string e));
-        let remaining_c = Client.presignatures_remaining client in
-        let remaining_l = Log_service.presignatures_remaining log ~client_id:cid in
-        if remaining_c <> remaining_l then
-          violate "%s: presig cursors disagree after resync (client %d, log %d)" cid
-            remaining_c remaining_l;
-        (match Client.audit_verified client with
-        | Ok _ -> ()
-        | Error m -> violate "%s: audit chain broken after recovery: %s" cid m
-        | exception e ->
-            violate "%s: audit failed on a calm link: %s" cid (Printexc.to_string e));
-        Buffer.add_string transcript
-          (Printf.sprintf "%s %s presigs=%d\n" cid outcome remaining_c)
-      in
-      let fibers =
-        List.init sessions_per_world (fun i ->
-            Runtime.spawn ~name:(Printf.sprintf "session-%02d" i) (session i))
-      in
-      List.iter
-        (fun p ->
-          match Runtime.await p with
+  let (violations, crashes), digest =
+    Scenario.run ~entropy @@ fun w ->
+    let disk, log =
+      Scenario.store_log ~checkpoint_every:32 ~objection_window:0.05 ~seed:entropy w.rand
+    in
+    let la = Log_async.create log in
+    let violations = ref [] in
+    let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+    Runtime.run ~seed:entropy (fun () ->
+        Log_async.start la;
+        let session i () =
+          let cid = Printf.sprintf "s%02d" i in
+          let proto =
+            if i mod sessions_per_world = 0 then Scenario.Fido2
+            else if i mod sessions_per_world <= 3 then Scenario.Totp
+            else Scenario.Password
+          in
+          (* clean enrollment and registration; faults start with auth *)
+          let client, login =
+            Scenario.session ~net:Larch_net.Netsim.paper_default ~async:la
+              ~password:("pw-" ^ cid) ~rp_name:("rp-" ^ cid) ~rand:w.rand log cid
+              ~presignatures:(if proto = Fido2 then 2 else 1) [ proto ]
+          in
+          Transport.set_injector client.Client.transport
+            (Some (Fault.seeded ~seed:(entropy ^ "/" ^ cid) profile));
+          let outcome =
+            match Scenario.attempt (fun () -> login proto) with
+            | Completed -> "ok"
+            | Transport_error e -> "transport " ^ Transport.failure_to_string e.Transport.last
+            | Protocol_error m -> "protocol " ^ m
+            | Log_misbehaved m -> "log-misbehaved " ^ m
+          in
+          (* calm link: the world must be fully recoverable *)
+          Transport.set_injector client.Client.transport None;
+          (match Client.resync client with
           | () -> ()
-          | exception e -> violate "session died untyped: %s" (Printexc.to_string e))
-        fibers;
-      Log_async.stop la);
-  (* store oracle: structural checks, tree-vs-records, presignature
-     cursor monotonicity, and WAL-replay-vs-live byte match *)
-  (match Log_service.fsck log with
-  | None -> violate "no persist layer attached"
-  | Some fr ->
-      if not (Log_persist.fsck_clean fr) then
-        violate "fsck dirty: %s" (String.concat "; " fr.Log_persist.issues));
-  let ds = Larch_store.Disk.stats disk in
-  Buffer.add_string transcript
-    (Printf.sprintf "disk appends=%d crashes=%d admission batches=%d batched=%d\n"
-       ds.Larch_store.Disk.appends ds.Larch_store.Disk.crashes (Log_async.batches la)
-       (Log_async.batched_requests la));
-  Obs.Runtime.set_time_source None;
-  Clock.use_real_time ();
-  {
-    digest = Larch_util.Hex.encode (Larch_hash.Sha256.digest (Buffer.contents transcript));
-    violations = List.rev !violations;
-    crashes = ds.Larch_store.Disk.crashes;
-  }
+          | exception e ->
+              violate "%s: resync failed on a calm link: %s" cid (Printexc.to_string e));
+          let remaining_c = Client.presignatures_remaining client in
+          let remaining_l = Log_service.presignatures_remaining log ~client_id:cid in
+          if remaining_c <> remaining_l then
+            violate "%s: presig cursors disagree after resync (client %d, log %d)" cid
+              remaining_c remaining_l;
+          (match Client.audit_verified client with
+          | Ok _ -> ()
+          | Error m -> violate "%s: audit chain broken after recovery: %s" cid m
+          | exception e ->
+              violate "%s: audit failed on a calm link: %s" cid (Printexc.to_string e));
+          Scenario.line w "%s %s presigs=%d" cid outcome remaining_c
+        in
+        let fibers =
+          List.init sessions_per_world (fun i ->
+              Runtime.spawn ~name:(Printf.sprintf "session-%02d" i) (session i))
+        in
+        List.iter
+          (fun p ->
+            match Runtime.await p with
+            | () -> ()
+            | exception e -> violate "session died untyped: %s" (Printexc.to_string e))
+          fibers;
+        Log_async.stop la);
+    (* store oracle: structural checks, tree-vs-records, presignature
+       cursor monotonicity, and WAL-replay-vs-live byte match *)
+    let fr = Scenario.fsck log in
+    if not (Log_persist.fsck_clean fr) then
+      violate "fsck dirty: %s" (String.concat "; " fr.Log_persist.issues);
+    Scenario.line w "disk %s %s" (Scenario.disk_counts ~rot:false disk) (Scenario.admission_line la);
+    (List.rev !violations, (Larch_store.Disk.stats disk).Larch_store.Disk.crashes)
+  in
+  { digest; violations; crashes }
 
 (* --- the matrix: one alcotest case per profile --- *)
 
